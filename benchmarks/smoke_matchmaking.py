@@ -222,9 +222,8 @@ def measure() -> dict:
 
     # Sharded fan-out: an 8-shard serial match (fan out + name merge)
     # and the routed point-write path.  Gated at 5x like every other op
-    # (the baseline was re-recorded with these keys); the dedicated
-    # scale gate separately enforces the *parallel* speedup, and the
-    # bench-trend workflow archives the absolute timings.
+    # (the baseline was re-recorded with these keys); the bench-trend
+    # workflow archives the absolute timings.
     sharded = ShardedWhitePagesDatabase(
         [db.get(name) for name in db.names()], shards=8)
     sharded.match(plan)  # warm
@@ -240,9 +239,7 @@ def measure() -> dict:
 
     # Persistent shard service: the same selective match and routed
     # point-write paths, but against live out-of-process workers over
-    # the wire protocol (absolute numbers include localhost RTTs; the
-    # dedicated scale gate separately enforces the amortized speedup
-    # over fork-per-match).
+    # the wire protocol (absolute numbers include localhost RTTs).
     import tempfile
 
     # Columnar kernel: the vectorized mask sweep over a broad range

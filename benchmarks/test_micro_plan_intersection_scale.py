@@ -23,6 +23,7 @@ from repro.core.plan import compile_plan
 from repro.fleet import FleetSpec, build_database
 
 from benchmarks.conftest import timed_median
+from tests.conftest import linear_oracle
 
 pytestmark = pytest.mark.scale_gate
 
@@ -53,7 +54,8 @@ def test_intersection_equals_single_path_and_oracle(scale_db):
         single = [r.machine_name for r in scale_db.match(plan)]
     finally:
         scale_db.intersect_max_paths = type(scale_db).intersect_max_paths
-    oracle = [r.machine_name for r in scale_db.scan(query.matches_machine)]
+    oracle = [r.machine_name
+              for r in linear_oracle(scale_db, query.matches_machine)]
     assert intersected == single == oracle
     assert len(intersected) > 0
 

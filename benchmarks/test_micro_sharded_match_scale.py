@@ -1,37 +1,28 @@
-"""Sharded parallel match scale gates (ISSUE 4 tentpole).
+"""Sharded match scale gates (ISSUE 4).
 
-At 100k records, fanning match work out across shards must buy real
-multi-core speedup: the fork-based :class:`ParallelMatcher` (worker
-processes inherit the built shards copy-on-write and run per-shard
-matches on separate cores) must answer a batch of mixed-selectivity
-queries >= 1.5x faster than the single-shard engine on >= 4 cores.
-
-Two further invariants gate alongside the speedup:
+Two invariants of the in-process sharded engine at 100k records:
 
 - the sharded serial fan-out returns byte-identical results to the
   single-shard engine at scale (the merge-ordering contract, checked on
-  the same 100k fleet the timing runs against);
+  a 100k fleet);
 - sharding must not tax point writes: a routed ``update_dynamic`` burst
   stays within 3x of the single-shard write path (routing is one CRC
   plus one smaller shard heap, so it is normally *faster*; 3x is the
   generous jitter bound).
 
 ``REPRO_SHARDED_SCALE_N`` overrides the record count for quick local
-iterations; the committed gate runs at the full 100k.  The speedup gate
-skips below 4 cores or where the ``fork`` start method is unavailable —
-the equivalence and write-path gates run everywhere.
+iterations; the committed gate runs at the full 100k.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 
 import pytest
 
 from repro.core.language import parse_query
 from repro.core.plan import compile_plan
-from repro.database.sharding import ParallelMatcher, ShardedWhitePagesDatabase
+from repro.database.sharding import ShardedWhitePagesDatabase
 from repro.fleet import FleetSpec, build_fleet
 
 from benchmarks.conftest import timed_median as _timed
@@ -40,7 +31,6 @@ pytestmark = pytest.mark.scale_gate
 
 N = int(os.environ.get("REPRO_SHARDED_SCALE_N", "100000"))
 SHARDS = 8
-MIN_SPEEDUP = 1.5
 #: Mixed selectivities: a striped pool walk, a two-attr intersection,
 #: and two broad range scans (the fan-out's worst and best cases).
 QUERY_TEXTS = (
@@ -49,9 +39,6 @@ QUERY_TEXTS = (
     "punch.rsrc.memory = >=128",
     "punch.rsrc.arch = sun\npunch.rsrc.memory = >=256",
 )
-
-_CORES = os.cpu_count() or 1
-_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 @pytest.fixture(scope="module")
@@ -68,10 +55,6 @@ def plans():
     return [compile_plan(parse_query(text).basic()) for text in QUERY_TEXTS]
 
 
-def _match_all(db, plans):
-    return [db.match(plan) for plan in plans]
-
-
 def test_sharded_match_equals_single_shard_at_scale(fleets, plans):
     single, sharded = fleets
     for plan in plans:
@@ -79,35 +62,6 @@ def test_sharded_match_equals_single_shard_at_scale(fleets, plans):
         got = [r.machine_name for r in sharded.match(plan)]
         assert got == want
         assert sharded.count(plan) == len(want)
-
-
-@pytest.mark.skipif(not _HAS_FORK, reason="fork start method unavailable")
-@pytest.mark.skipif(_CORES < 4, reason=f"needs >= 4 cores, have {_CORES}")
-def test_parallel_match_speedup_at_scale(fleets, plans):
-    single, sharded = fleets
-    _match_all(single, plans)  # warm both engines' caches
-    _match_all(sharded, plans)
-    single_t, _ = _timed(_match_all, single, plans, repeats=5)
-    with ParallelMatcher(sharded, processes=min(SHARDS, _CORES)) as matcher:
-
-        def parallel_all():
-            return [matcher.match_names(plan) for plan in plans]
-
-        parallel_all()  # warm the worker pool
-        parallel_t, names = _timed(parallel_all, repeats=5)
-    # Same answers while we're here (names vs records).
-    for plan, got in zip(plans, names):
-        assert got == [r.machine_name for r in single.match(plan)]
-    speedup = single_t / parallel_t
-    print(f"\n  n={N} shards={SHARDS} workers={min(SHARDS, _CORES)}: "
-          f"single {single_t * 1e3:.1f} ms/batch, "
-          f"parallel {parallel_t * 1e3:.1f} ms/batch, "
-          f"speedup {speedup:.2f}x")
-    assert speedup >= MIN_SPEEDUP, (
-        f"sharded parallel match only {speedup:.2f}x over single-shard "
-        f"({parallel_t * 1e3:.1f} ms vs {single_t * 1e3:.1f} ms; "
-        f"gate {MIN_SPEEDUP}x)"
-    )
 
 
 def test_routed_write_path_not_taxed(fleets):

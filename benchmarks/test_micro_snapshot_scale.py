@@ -1,6 +1,6 @@
 """Index snapshot cold-start gates (ISSUE 2 tentpole, part 3).
 
-Restoring the attribute-index catalog from a version-2 snapshot — then
+Restoring the attribute-index catalog from a snapshot — then
 answering a real query — must be >= 5x faster than rebuilding the
 indexes from the records, and byte-identical in its answers.  The
 restore path is lazy (postings stay parsed lists, sorted indexes serve
@@ -22,10 +22,17 @@ import pytest
 from repro.core.language import parse_query
 from repro.core.plan import compile_plan
 from repro.database.indexes import AttributeIndexCatalog
+from repro.database.persistence import (
+    dumps_database,
+    loads_database,
+    restore_catalog,
+)
+from repro.database.records import MachineRecord
 from repro.database.whitepages import WhitePagesDatabase
 from repro.fleet import FleetSpec, build_fleet
 
 from benchmarks.conftest import timed_median
+from tests.conftest import linear_oracle
 
 pytestmark = pytest.mark.scale_gate
 
@@ -83,29 +90,45 @@ def test_restored_catalog_survives_mutation_at_scale(fleet):
     db.remove(removed)
     query = parse_query(QUERY_TEXT).basic()
     got = [r.machine_name for r in db.match(plan)]
-    oracle = [r.machine_name for r in db.scan(query.matches_machine)]
+    oracle = [r.machine_name
+              for r in linear_oracle(db, query.matches_machine)]
     assert got == oracle
     assert removed not in {r for r in got}
 
 
+def test_v3_survives_post_load_mutation_at_scale(fleet):
+    """Mutations against a freshly v3-loaded database materialise the
+    lazy row-id postings; answers must stay oracle-equal afterwards."""
+    records, _snapshot, plan = fleet
+    db = loads_database(dumps_database(WhitePagesDatabase(records)))
+    for i, name in enumerate(db.names()[:200]):
+        db.update_dynamic(name, current_load=float(i % 5), active_jobs=i % 3)
+    removed = db.names()[0]
+    db.remove(removed)
+    query = parse_query(QUERY_TEXT).basic()
+    got = [r.machine_name for r in db.match(plan)]
+    oracle = [r.machine_name
+              for r in linear_oracle(db, query.matches_machine)]
+    assert got == oracle
+    assert removed not in set(got)
+
+
 def test_snapshot_roundtrips_through_json_at_scale(fleet):
     """The full dumps→loads path (records + index section + checksum)
-    must restore, not rebuild, and agree with the source database —
-    in both the compact default format and the v2 dict format."""
+    must restore, not rebuild, and agree with the source database."""
     import json
-    from repro.database.persistence import (
-        dumps_database, loads_database, record_from_dict, restore_catalog)
     records, _snapshot, plan = fleet
     db = WhitePagesDatabase(records)
-    # v2 dict path, restore_catalog invoked directly.
-    payload = json.loads(dumps_database(db, version=2))
-    parsed_records = [record_from_dict(m) for m in payload["machines"]]
+    # restore_catalog invoked directly: None would mean "rebuilt".
+    payload = json.loads(dumps_database(db))
+    parsed_records = [MachineRecord.from_row(row)
+                      for row in payload["machines"]]
     catalog = restore_catalog(payload, parsed_records)
     assert catalog is not None, "checksum/schema guard rejected own dump"
     restored = WhitePagesDatabase(parsed_records, catalog=catalog)
     assert [r.machine_name for r in restored.match(plan)] == \
         [r.machine_name for r in db.match(plan)]
-    # Default (v3) path through the public loader.
+    # The same path through the public loader.
     restored3 = loads_database(dumps_database(db))
     assert restored3.index_stats() == \
         loads_database(dumps_database(db),

@@ -100,7 +100,7 @@ class CentralizedScheduler:
         if self.use_index:
             candidates = self.database.match(plan, include_taken=True)
         else:
-            candidates = self.database.scan(include_taken=True)
+            candidates = self.database.match(None, include_taken=True)
         for record in candidates:
             self.machines_scanned += 1
             if not self.use_index and not plan.verify(record):

@@ -88,7 +88,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _load_fleet_records(path: str) -> List[MachineRecord]:
-    """Records from any snapshot flavour (manifest or plain v1/v2/v3)."""
+    """Records from any snapshot flavour (manifest or plain v3/v4)."""
     db = load_sharded_database(path)
     return [db.get(name) for name in db.names()]
 
@@ -530,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write a per-shard snapshot set (manifest + "
                               "one file per shard)")
     p_fleet.add_argument("--snapshot-version", type=int, default=3,
-                         choices=(1, 2, 3, 4),
+                         choices=(3, 4),
                          help="snapshot format (4 = v3 JSON + mmap-loadable "
                               "binary column sidecar)")
     p_fleet.add_argument("--out", required=True)

@@ -2,9 +2,9 @@
 
 The parser (:mod:`repro.core.language`) already yields structured
 :class:`~repro.core.query.Clause` tuples, but the layers below used to
-collapse them into opaque predicate callables and hand those to
-``WhitePagesDatabase.scan()`` — O(database) per walk, and impossible for
-the database to plan against.  This module keeps the query *inspectable*
+collapse them into opaque predicate callables and walk the whole
+database with them — O(database) per walk, and impossible for the
+database to plan against.  This module keeps the query *inspectable*
 all the way down:
 
 - :class:`ClauseSet` partitions a basic query's ``rsrc`` clauses by how

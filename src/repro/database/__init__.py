@@ -12,11 +12,10 @@ Public API:
 - :class:`~repro.database.records.MachineRecord` / ``MachineState`` — the
   Figure 3 schema.
 - :class:`~repro.database.whitepages.WhitePagesDatabase` — registry with
-  match/take/release operations (and a deprecated linear ``scan`` shim).
+  match/take/release operations.
 - :class:`~repro.database.sharding.ShardedWhitePagesDatabase` — the same
-  surface hash-partitioned across N shards, with fanned-out queries,
-  per-shard snapshots, and a fork-based
-  :class:`~repro.database.sharding.ParallelMatcher`.
+  surface hash-partitioned across N shards, with fanned-out queries
+  and per-shard snapshots.
 - :class:`~repro.database.service.ShardServiceClient` /
   :class:`~repro.database.service.ShardSupervisor` — the persistent
   shard service: the same surface again, but over live out-of-process
@@ -39,7 +38,6 @@ from repro.database.indexes import AttributeIndexCatalog
 from repro.database.records import MachineRecord
 from repro.database.whitepages import WhitePagesDatabase
 from repro.database.sharding import (
-    ParallelMatcher,
     ShardedWhitePagesDatabase,
     WhitePages,
     load_sharded_database,
@@ -56,7 +54,6 @@ __all__ = [
     "AttributeIndexCatalog",
     "WhitePagesDatabase",
     "ShardedWhitePagesDatabase",
-    "ParallelMatcher",
     "WhitePages",
     "shard_of",
     "save_sharded_database",

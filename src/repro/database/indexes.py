@@ -173,7 +173,7 @@ class HashAttrIndex:
         #: strings, or row indices when ``_table`` is set).
         self._postings: Dict[str, Any] = {}
         #: Row-index -> machine name, for postings restored in row-id
-        #: encoding; None for live/v2 postings.
+        #: encoding; None for live (name-encoded) postings.
         self._table: Optional[List[str]] = None
 
     def _decode(self, posting: Any) -> Any:

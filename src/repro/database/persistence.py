@@ -2,27 +2,22 @@
 
 The paper's database was an operational store maintained by
 administrators; a library users can adopt needs the fleet definition to
-survive restarts and travel between tools.  Version 2 is stable
-pretty-printed JSON — one object per machine, field names matching
-Figure 3's schema — so fleets can be version-controlled and diffed.
+survive restarts and travel between tools.
 
 **Format version 3** (the default write format) is the compact cold-start
 encoding: machine records as *positional rows* (layout declared by the
 embedded ``row_schema``, which must equal
 :data:`~repro.database.records.RECORD_ROW_FIELDS`), no indentation, and
-service flags packed into a bit mask.  At 100k records this cuts the
-snapshot to a fraction of the v2 size, and loading goes through
-:meth:`~repro.database.records.MachineRecord.from_row` — a fast loader
-that skips the per-field dict dispatch and re-validation of the v2
-record parser, which dominated v2 cold start.  Both v1 and v2 files
-still load through the dict path; ``version=2`` keeps writing the
-diff-friendly format for fleets that are version-controlled.
+service flags packed into a bit mask; loading goes through
+:meth:`~repro.database.records.MachineRecord.from_row`.  Files written
+in the retired dict-per-machine formats (versions 1 and 2) are refused
+with ``DatabaseError("unsupported snapshot version …")``.
 
-Format versions 2 and 3 embed an image of the
+A snapshot embeds an image of the
 :class:`~repro.database.indexes.AttributeIndexCatalog` so startup can
 *restore* the indexes instead of rebuilding them from scratch — the
 O(N·attrs·log N) tokenise-and-sort pass that used to dominate cold
-start at large N.  The index section is guarded twice:
+start at large N.  The index section is guarded three ways:
 
 - an **index schema version** (:data:`~repro.database.indexes
   .INDEX_SCHEMA_VERSION`): a snapshot written under different token/
@@ -33,7 +28,7 @@ start at large N.  The index section is guarded twice:
 - **structural validation** on restore: misaligned or unsorted
   sorted-index arrays and malformed posting containers are rejected.
 
-Any guard failure — or a version-1 snapshot, which has no index section —
+Any guard failure — or a snapshot written without an index section —
 falls back to the rebuild path silently; restoring is purely a startup
 optimisation, never a semantic dependency.  The guards do not extend to
 a *structurally valid but content-edited* index section (e.g. a name
@@ -68,90 +63,19 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.database.fields import MachineState
 from repro.database.indexes import AttributeIndexCatalog, pack_array
-from repro.database.records import (
-    MachineRecord,
-    RECORD_ROW_FIELDS,
-    ServiceStatusFlags,
-)
+from repro.database.records import MachineRecord, RECORD_ROW_FIELDS
 from repro.database.whitepages import WhitePagesDatabase
 from repro.errors import DatabaseError
 
-__all__ = ["record_to_dict", "record_from_dict", "save_database",
-           "load_database", "dumps_database", "loads_database",
-           "restore_catalog", "snapshot_wal_lsn", "atomic_write_text"]
+__all__ = ["save_database", "load_database", "dumps_database",
+           "loads_database", "restore_catalog", "snapshot_wal_lsn",
+           "atomic_write_text"]
 
 _FORMAT_VERSION = 3
-#: Versions this loader understands (1 = records only, no index section;
-#: 2 = verbose record dicts + index image; 3 = compact positional rows;
+#: Versions this loader understands (3 = compact positional rows;
 #: 4 = v3 + binary column sidecar).
-_SUPPORTED_VERSIONS = (1, 2, 3, 4)
-
-
-def record_to_dict(record: MachineRecord) -> Dict[str, Any]:
-    flags = record.service_status_flags
-    return {
-        "machine_name": record.machine_name,
-        "state": str(record.state),
-        "current_load": record.current_load,
-        "active_jobs": record.active_jobs,
-        "available_memory_mb": record.available_memory_mb,
-        "available_swap_mb": record.available_swap_mb,
-        "last_update_time": record.last_update_time,
-        "service_status_flags": {
-            "execution_unit_up": flags.execution_unit_up,
-            "pvfs_manager_up": flags.pvfs_manager_up,
-            "proxy_server_up": flags.proxy_server_up,
-        },
-        "effective_speed": record.effective_speed,
-        "num_cpus": record.num_cpus,
-        "max_allowed_load": record.max_allowed_load,
-        "machine_object_pointer": record.machine_object_pointer,
-        "shared_account": record.shared_account,
-        "execution_unit_port": record.execution_unit_port,
-        "pvfs_mount_manager_port": record.pvfs_mount_manager_port,
-        "user_groups": sorted(record.user_groups),
-        "tool_groups": sorted(record.tool_groups),
-        "shadow_account_pool": record.shadow_account_pool,
-        "usage_policy": record.usage_policy,
-        "admin_parameters": dict(record.admin_parameters),
-    }
-
-
-def record_from_dict(data: Dict[str, Any]) -> MachineRecord:
-    try:
-        flags_data = data.get("service_status_flags", {})
-        return MachineRecord(
-            machine_name=data["machine_name"],
-            state=MachineState(data.get("state", "up")),
-            current_load=float(data.get("current_load", 0.0)),
-            active_jobs=int(data.get("active_jobs", 0)),
-            available_memory_mb=float(data.get("available_memory_mb", 512.0)),
-            available_swap_mb=float(data.get("available_swap_mb", 1024.0)),
-            last_update_time=float(data.get("last_update_time", 0.0)),
-            service_status_flags=ServiceStatusFlags(
-                execution_unit_up=bool(
-                    flags_data.get("execution_unit_up", True)),
-                pvfs_manager_up=bool(flags_data.get("pvfs_manager_up", True)),
-                proxy_server_up=bool(flags_data.get("proxy_server_up", True)),
-            ),
-            effective_speed=float(data.get("effective_speed", 300.0)),
-            num_cpus=int(data.get("num_cpus", 1)),
-            max_allowed_load=float(data.get("max_allowed_load", 4.0)),
-            machine_object_pointer=data.get("machine_object_pointer", ""),
-            shared_account=data.get("shared_account"),
-            execution_unit_port=int(data.get("execution_unit_port", 7070)),
-            pvfs_mount_manager_port=int(
-                data.get("pvfs_mount_manager_port", 7071)),
-            user_groups=frozenset(data.get("user_groups", ["public"])),
-            tool_groups=frozenset(data.get("tool_groups", ["general"])),
-            shadow_account_pool=data.get("shadow_account_pool", ""),
-            usage_policy=data.get("usage_policy"),
-            admin_parameters=dict(data.get("admin_parameters", {})),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise DatabaseError(f"malformed machine record: {exc}") from exc
+_SUPPORTED_VERSIONS = (3, 4)
 
 
 def _machines_checksum(machines: List[Any]) -> int:
@@ -159,7 +83,6 @@ def _machines_checksum(machines: List[Any]) -> int:
 
     Canonical = compact separators + sorted keys, so the value is stable
     across dump → parse → re-dump (JSON floats round-trip through repr).
-    Works for both v2 dicts and v3 rows.
     """
     canon = json.dumps(machines, sort_keys=True, separators=(",", ":"))
     return zlib.crc32(canon.encode("utf-8"))
@@ -172,7 +95,7 @@ def _index_image_to_row_ids(image: Dict[str, Any],
     The records section already stores every machine name once (rows are
     in name order), so the v3 index section references machines by row
     number instead of repeating multi-byte name strings in every posting
-    and sorted array — the bulk of the v2 index section's size.
+    and sorted array.
     Singleton postings (most tokens of high-cardinality attributes like
     machine names and measured loads) collapse to a bare row id, and the
     sorted sections' parallel arrays are packed little-endian base64
@@ -229,10 +152,9 @@ def dumps_database(db: WhitePagesDatabase, *,
     """Serialise the database (records + optional index image).
 
     ``version=3`` (the default) writes the compact positional-row
-    format; ``version=2`` writes the pretty-printed dict-per-machine
-    format for fleets that live under version control.  ``version=4``
-    is rejected here — its column sidecar is a separate binary file,
-    so only the path-based :func:`save_database` can write it.
+    format.  ``version=4`` is rejected here — its column sidecar is a
+    separate binary file, so only the path-based :func:`save_database`
+    can write it.
 
     ``wal_lsn`` embeds a write-ahead-log watermark (the LSN of the last
     op this snapshot includes, see :mod:`repro.database.wal`): landing
@@ -244,7 +166,7 @@ def dumps_database(db: WhitePagesDatabase, *,
         raise DatabaseError(
             "format v4 writes a binary column sidecar next to the "
             "snapshot; use save_database() with a path")
-    if version not in (2, 3):
+    if version != 3:
         raise DatabaseError(f"cannot write snapshot version {version!r}")
     # One atomic capture: records and catalog image from the same lock
     # hold, so the checksum can never bless an index section that
@@ -277,39 +199,25 @@ def _dumps_payload(records: List[MachineRecord],
     could never be crash-exact (a ``take`` WAL-truncated by a
     checkpoint would vanish on recovery).
     """
-    if version in (3, 4):
-        machines: List[Any] = [record.to_row() for record in records]
-        payload: Dict[str, Any] = {
-            "format": "repro.whitepages",
-            "version": version,
-            "row_schema": list(RECORD_ROW_FIELDS),
-            "machines": machines,
-        }
-        if columns_meta is not None:
-            payload["columns"] = columns_meta
-    else:
-        machines = [record_to_dict(record) for record in records]
-        payload = {
-            "format": "repro.whitepages",
-            "version": 2,
-            "machines": machines,
-        }
+    machines: List[Any] = [record.to_row() for record in records]
+    payload: Dict[str, Any] = {
+        "format": "repro.whitepages",
+        "version": version,
+        "row_schema": list(RECORD_ROW_FIELDS),
+        "machines": machines,
+    }
+    if columns_meta is not None:
+        payload["columns"] = columns_meta
     if wal_lsn is not None:
         payload["wal_lsn"] = int(wal_lsn)
     if taken:
         payload["taken"] = {str(k): str(v) for k, v in taken.items()}
     if include_indexes:
-        if version in (3, 4):
-            row_of = {record.machine_name: i
-                      for i, record in enumerate(records)}
-            index_payload = _index_image_to_row_ids(catalog_image, row_of)
-        else:
-            index_payload = dict(catalog_image)
+        row_of = {record.machine_name: i for i, record in enumerate(records)}
+        index_payload = _index_image_to_row_ids(catalog_image, row_of)
         index_payload["checksum"] = _machines_checksum(machines)
         payload["indexes"] = index_payload
-    if version in (3, 4):
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def restore_catalog(payload: Dict[str, Any],
@@ -318,7 +226,7 @@ def restore_catalog(payload: Dict[str, Any],
                     ) -> Optional[AttributeIndexCatalog]:
     """Restore the index section of a parsed snapshot, or None.
 
-    None means "rebuild": no index section (version-1 snapshot), an index
+    None means "rebuild": no index section, an index
     schema this code does not understand, a checksum that does not match
     the record section, or a structurally broken section.  All four are
     legal inputs — the records are the source of truth.
@@ -419,27 +327,20 @@ def _loads_database_inner(text: str, *, use_index_snapshot: bool,
     version = payload.get("version")
     if version not in _SUPPORTED_VERSIONS:
         raise DatabaseError(f"unsupported snapshot version {version!r}")
-    if version in (3, 4):
-        if payload.get("row_schema") != list(RECORD_ROW_FIELDS):
-            raise DatabaseError(
-                "v3 snapshot row schema does not match this build "
-                f"(got {payload.get('row_schema')!r})")
-        from_row = MachineRecord.from_row
-        try:
-            records = [from_row(row) for row in payload.get("machines", [])]
-        except (KeyError, ValueError, TypeError, IndexError) as exc:
-            raise DatabaseError(f"malformed v3 machine row: {exc}") from exc
-        catalog = restore_catalog(
-            payload, records, machines_text=_raw_machines_span(text)) \
-            if use_index_snapshot else None
-        columns = _attach_columns(records, version, columnar,
-                                  payload.get("columns"), sidecar_dir)
-        return _restore_taken(
-            WhitePagesDatabase(records, catalog=catalog, columns=columns),
-            payload)
-    records = [record_from_dict(m) for m in payload.get("machines", [])]
-    catalog = restore_catalog(payload, records) if use_index_snapshot else None
-    columns = _attach_columns(records, version, columnar, None, None)
+    if payload.get("row_schema") != list(RECORD_ROW_FIELDS):
+        raise DatabaseError(
+            "v3 snapshot row schema does not match this build "
+            f"(got {payload.get('row_schema')!r})")
+    from_row = MachineRecord.from_row
+    try:
+        records = [from_row(row) for row in payload.get("machines", [])]
+    except (KeyError, ValueError, TypeError, IndexError) as exc:
+        raise DatabaseError(f"malformed v3 machine row: {exc}") from exc
+    catalog = restore_catalog(
+        payload, records, machines_text=_raw_machines_span(text)) \
+        if use_index_snapshot else None
+    columns = _attach_columns(records, version, columnar,
+                              payload.get("columns"), sidecar_dir)
     return _restore_taken(
         WhitePagesDatabase(records, catalog=catalog, columns=columns),
         payload)
@@ -466,8 +367,8 @@ def _restore_taken(db: WhitePagesDatabase,
 def snapshot_wal_lsn(text: str) -> int:
     """The WAL watermark of a snapshot string, or 0.
 
-    0 means "replay everything": pre-WAL snapshots (seed files, v1/v2
-    fleets) carry no watermark, and an op log found next to them is by
+    0 means "replay everything": pre-WAL snapshots (seed files) carry
+    no watermark, and an op log found next to them is by
     definition entirely newer than their contents.
 
     The compact v3/v4 serialisation makes the key findable without a

@@ -203,8 +203,8 @@ class MachineRecord:
          pvfs_mount_manager_port, user_groups, tool_groups,
          shadow_account_pool, usage_policy, admin_parameters) = row
         # The same domain guards __post_init__ enforces, applied inline:
-        # a hand-edited row must fail at load, like the v2 parser, not
-        # divide by zero in a rank key later.
+        # a hand-edited row must fail at load, not divide by zero in a
+        # rank key later.
         if not machine_name:
             raise ValueError("machine_name must be non-empty")
         if num_cpus < 1:

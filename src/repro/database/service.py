@@ -98,7 +98,7 @@ from repro.database.sharding import (
     save_sharded_database,
 )
 from repro.database.wal import WAL_MODES
-from repro.database.whitepages import Listener, Predicate
+from repro.database.whitepages import Listener
 from repro.errors import (
     ConfigError,
     DatabaseError,
@@ -311,11 +311,6 @@ class ShardServiceClient:
         One ``(host, port)`` per shard, **in shard order** — endpoint
         ``i`` must serve shard ``i`` of ``len(endpoints)``, since point
         operations route by :func:`shard_of`.
-    fan_out:
-        Thread pool size for query fan-out (defaults to the shard
-        count; 1 = serial).  Unlike the in-process thread fan-out, the
-        per-shard work here runs in *worker processes* on real cores —
-        the client threads only overlap socket I/O and JSON decode.
     epoch:
         The routing epoch of ``endpoints`` (0 for a never-resharded
         fleet).  Point ops are stamped with it; a mismatch triggers the
@@ -332,13 +327,12 @@ class ShardServiceClient:
     _MAX_ROUTE_RETRIES = 8
 
     def __init__(self, endpoints: Sequence[Tuple[str, int]], *,
-                 fan_out: Optional[int] = None, timeout: float = 30.0,
-                 epoch: int = 0, refresh_timeout: float = 15.0):
+                 timeout: float = 30.0, epoch: int = 0,
+                 refresh_timeout: float = 15.0):
         endpoints = list(endpoints)
         if not endpoints:
             raise ConfigError("need at least one shard endpoint")
         self._timeout = timeout
-        self._fan_out_size = fan_out
         self._refresh_timeout = float(refresh_timeout)
         #: Client-side telemetry: per-shard RTT histograms, reconnect /
         #: stale-routing / fan-out-straggler counters.
@@ -367,11 +361,12 @@ class ShardServiceClient:
         conns = [_WorkerConnection(h, p, timeout=self._timeout,
                                    metrics=self._metrics)
                  for h, p in table.endpoints]
-        workers = len(conns) if self._fan_out_size is None \
-            else max(1, min(int(self._fan_out_size), len(conns)))
+        # One fan-out thread per shard: the per-shard work runs in the
+        # worker processes; these threads only overlap socket I/O and
+        # JSON decode.
         executor = (ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="wp-remote")
-            if workers >= 2 and len(conns) >= 2 else None)
+            max_workers=len(conns), thread_name_prefix="wp-remote")
+            if len(conns) >= 2 else None)
         return _RouteState(table, conns, executor)
 
     # -- topology -------------------------------------------------------------
@@ -777,7 +772,7 @@ class ShardServiceClient:
     def match_names(self, plan: Any = None, *,
                     include_taken: bool = False) -> List[str]:
         """Names only — the cheap-wire form for bulk candidate
-        enumeration (mirrors :meth:`ParallelMatcher.match_names`)."""
+        enumeration."""
         frame = self._match_frames(plan, include_taken, names_only=True)
         if frame is None:
             return []
@@ -795,19 +790,6 @@ class ShardServiceClient:
         frame = {"kind": "count", "clauses": clauses_to_wire(plan),
                  "include_taken": include_taken}
         return sum(r["count"] for r in self._fan_out(lambda i: frame))
-
-    def scan(self, predicate: Optional[Predicate] = None,
-             include_taken: bool = False) -> List[MachineRecord]:
-        """Deprecated O(n) walk: workers ship their records (name
-        order), the opaque predicate runs client-side."""
-        frame = {"kind": "scan", "include_taken": include_taken}
-        replies = self._fan_out(lambda i: frame)
-        parts = [[MachineRecord.from_row(row) for row in r["rows"]]
-                 for r in replies]
-        records = _merge_by_name(parts)
-        if predicate is None:
-            return records
-        return [rec for rec in records if predicate(rec)]
 
     def count_up(self) -> int:
         """Count of machines in the ``up`` state fleet-wide (fan-out)."""

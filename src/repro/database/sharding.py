@@ -13,20 +13,16 @@ Routing and fan-out
 -------------------
 Point operations (``get`` / ``take`` / ``update_dynamic`` / ``subscribe``
 ...) route to the owning shard and touch only that shard's lock.  Queries
-(``match`` / ``count`` / ``scan`` / ``names``) fan out to every shard and
+(``match`` / ``count`` / ``names``) fan out to every shard and
 **merge by machine name**: each shard returns its matches in name order
 and the shards partition the name space, so an N-way
 :func:`heapq.merge` reproduces *exactly* the single-shard engine's
 name-ordered result — same records, same deterministic order.
 
-Fan-out is serial by default.  ``max_workers >= 2`` runs the per-shard
-probes on a shared thread pool: per-shard work under CPython's GIL only
-overlaps during the C-level portions (bisects, set intersection,
-``crc32``), so threads mostly buy latency hiding under concurrent
-writers, not CPU scale-out.  For genuine multi-core matching use
-:class:`ParallelMatcher`, which forks worker processes that inherit the
-built shards copy-on-write and execute per-shard matches truly in
-parallel.
+Fan-out here is serial and in-process: this class is the reference
+engine.  Multi-core matching is the shard service
+(:mod:`repro.database.service`), one worker process per shard, which
+is property-tested against this class.
 
 Persistence
 -----------
@@ -35,7 +31,7 @@ v4-plus-column-sidecar) snapshot *per shard* plus a small manifest, so
 cold start can load (and eventually stream) shards independently;
 ``shards=1`` falls back to the plain whole-file snapshot.
 :func:`load_sharded_database` accepts a manifest **or** any plain
-v1/v2/v3 snapshot, coercing it into the requested shard count
+v3/v4 snapshot, coercing it into the requested shard count
 (``shards=1`` keeps a restored index catalog; re-sharding rebuilds the
 per-shard catalogs from records).
 
@@ -50,15 +46,11 @@ from __future__ import annotations
 
 import heapq
 import json
-import multiprocessing
-import os
-import threading
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -70,14 +62,13 @@ from typing import (
 )
 
 from repro.database.records import MachineRecord
-from repro.database.whitepages import Listener, Predicate, WhitePagesDatabase
+from repro.database.whitepages import Listener, WhitePagesDatabase
 from repro.errors import ConfigError, DatabaseError
 
 __all__ = [
     "shard_of",
     "RoutingTable",
     "ShardedWhitePagesDatabase",
-    "ParallelMatcher",
     "save_sharded_database",
     "load_sharded_database",
     "is_shard_manifest",
@@ -204,21 +195,13 @@ class ShardedWhitePagesDatabase:
         Shard count (>= 1).  ``shards=1`` delegates every operation to
         the single shard — behaviour (and performance) identical to a
         plain :class:`WhitePagesDatabase`.
-    max_workers:
-        When >= 2 and ``shards`` > 1, fan ``match``/``count``/``scan``
-        out on a shared thread pool (see module docstring for what the
-        GIL does and does not allow this to buy).  ``None``/1 = serial.
     columnar:
         Build each shard with the columnar match kernel
-        (:mod:`repro.database.columnar`).  The numpy mask sweeps release
-        the GIL, so ``max_workers`` fan-out over columnar shards
-        overlaps on real cores — the combination the per-record Python
-        loop could never reach.
+        (:mod:`repro.database.columnar`).
     """
 
     def __init__(self, records: Iterable[MachineRecord] = (), *,
-                 shards: int = 1, max_workers: Optional[int] = None,
-                 columnar: bool = False):
+                 shards: int = 1, columnar: bool = False):
         if shards < 1:
             raise ConfigError(f"shard count must be >= 1, got {shards}")
         if shards > _MAX_SHARDS:
@@ -227,14 +210,12 @@ class ShardedWhitePagesDatabase:
         groups: List[List[MachineRecord]] = [[] for _ in range(shards)]
         for record in records:
             groups[shard_of(record.machine_name, shards)].append(record)
-        self._init_from_shards(
-            [WhitePagesDatabase(g, columnar=columnar) for g in groups],
-            max_workers)
+        self._shards: List[WhitePagesDatabase] = [
+            WhitePagesDatabase(g, columnar=columnar) for g in groups]
 
     @classmethod
     def from_shard_databases(
             cls, shard_dbs: Sequence[WhitePagesDatabase], *,
-            max_workers: Optional[int] = None,
             validate_routing: bool = True) -> "ShardedWhitePagesDatabase":
         """Adopt already-built shard databases (the snapshot load path).
 
@@ -259,17 +240,8 @@ class ShardedWhitePagesDatabase:
                             f"record {name!r} found on shard {i} but routes "
                             f"to shard {shard_of(name, n)} of {n}")
         self = cls.__new__(cls)
-        self._init_from_shards(shard_dbs, max_workers)
+        self._shards = shard_dbs
         return self
-
-    def _init_from_shards(self, shard_dbs: List[WhitePagesDatabase],
-                          max_workers: Optional[int]) -> None:
-        self._shards: List[WhitePagesDatabase] = shard_dbs
-        self._max_workers = (0 if not max_workers or max_workers < 2
-                             or len(shard_dbs) < 2
-                             else min(int(max_workers), len(shard_dbs)))
-        self._executor = None
-        self._executor_guard = threading.Lock()
 
     # -- topology -------------------------------------------------------------
 
@@ -279,7 +251,7 @@ class ShardedWhitePagesDatabase:
 
     @property
     def shards(self) -> Tuple[WhitePagesDatabase, ...]:
-        """The shard databases, for persistence and fork-based fan-out."""
+        """The shard databases, for persistence."""
         return tuple(self._shards)
 
     @property
@@ -291,28 +263,6 @@ class ShardedWhitePagesDatabase:
         """The shard that owns ``machine_name`` (whether registered or
         not — routing is a pure function of the name)."""
         return self._shards[shard_of(machine_name, len(self._shards))]
-
-    def close(self) -> None:
-        """Shut down the fan-out thread pool (no-op when serial)."""
-        with self._executor_guard:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    def _fan_out(self, fn: Callable[[WhitePagesDatabase], Any]) -> List[Any]:
-        """Apply ``fn`` to every shard; results in shard order."""
-        if self._max_workers and len(self._shards) > 1:
-            executor = self._executor
-            if executor is None:
-                from concurrent.futures import ThreadPoolExecutor
-                with self._executor_guard:
-                    if self._executor is None:
-                        self._executor = ThreadPoolExecutor(
-                            max_workers=self._max_workers,
-                            thread_name_prefix="wp-shard")
-                    executor = self._executor
-            return list(executor.map(fn, self._shards))
-        return [fn(shard) for shard in self._shards]
 
     @contextmanager
     def exclusive(self):
@@ -332,26 +282,6 @@ class ShardedWhitePagesDatabase:
         finally:
             for lock in reversed(acquired):
                 lock.release()
-
-    # -- plan-cost knobs (fan the class-attribute contract out) ---------------
-
-    @property
-    def intersect_max_paths(self) -> int:
-        return self._shards[0].intersect_max_paths
-
-    @intersect_max_paths.setter
-    def intersect_max_paths(self, value: int) -> None:
-        for shard in self._shards:
-            shard.intersect_max_paths = value
-
-    @property
-    def intersect_ratio(self) -> float:
-        return self._shards[0].intersect_ratio
-
-    @intersect_ratio.setter
-    def intersect_ratio(self, value: float) -> None:
-        for shard in self._shards:
-            shard.intersect_ratio = value
 
     # -- change listeners -----------------------------------------------------
 
@@ -429,9 +359,9 @@ class ShardedWhitePagesDatabase:
             plan = compile_plan(plan)
         if plan.unsatisfiable:
             return []
-        parts = self._fan_out(
-            lambda shard: shard.match(plan, include_taken=include_taken))
-        return _merge_by_name(parts)
+        return _merge_by_name(
+            [shard.match(plan, include_taken=include_taken)
+             for shard in self._shards])
 
     def count(self, plan: Any = None, *, include_taken: bool = False) -> int:
         """Number of matching records; per-shard counts, summed."""
@@ -442,15 +372,8 @@ class ShardedWhitePagesDatabase:
             plan = compile_plan(plan)
         if plan.unsatisfiable:
             return 0
-        return sum(self._fan_out(
-            lambda shard: shard.count(plan, include_taken=include_taken)))
-
-    def scan(self, predicate: Optional[Predicate] = None,
-             include_taken: bool = False) -> List[MachineRecord]:
-        """Deprecated O(n) predicate walk, fanned out and name-merged."""
-        parts = self._fan_out(
-            lambda shard: shard.scan(predicate, include_taken=include_taken))
-        return _merge_by_name(parts)
+        return sum(shard.count(plan, include_taken=include_taken)
+                   for shard in self._shards)
 
     def count_up(self) -> int:
         return sum(shard.count_up() for shard in self._shards)
@@ -518,138 +441,6 @@ class ShardedWhitePagesDatabase:
         sizes = [len(shard) for shard in self._shards]
         return (f"ShardedWhitePagesDatabase(shards={len(self._shards)}, "
                 f"machines={sum(sizes)}, sizes={sizes})")
-
-
-# ---------------------------------------------------------------------------
-# Fork-based parallel match fan-out
-# ---------------------------------------------------------------------------
-
-#: Forked workers resolve their shard set here.  The registry entry must
-#: stay alive in the *parent* for the matcher's lifetime: pool workers
-#: that die are re-forked from the parent's current state, and must still
-#: find the shards.
-_FORK_REGISTRY: Dict[int, Tuple[WhitePagesDatabase, ...]] = {}
-_FORK_TOKENS = iter(range(1, 1 << 62))
-
-
-def _forked_match_names(token: int, shard_index: int, plan_payload: Any,
-                        include_taken: bool) -> List[str]:
-    """Worker side: run one shard's match, return just the names.
-
-    Names (not records) cross the process boundary: the parent resolves
-    them against its own record map, so the IPC cost is a compact string
-    list instead of a pickled record per match.
-    """
-    shard = _FORK_REGISTRY[token][shard_index]
-    return [r.machine_name
-            for r in shard.match(plan_payload, include_taken=include_taken)]
-
-
-def _forked_count(token: int, shard_index: int, plan_payload: Any,
-                  include_taken: bool) -> int:
-    shard = _FORK_REGISTRY[token][shard_index]
-    return shard.count(plan_payload, include_taken=include_taken)
-
-
-class ParallelMatcher:
-    """Multi-process match fan-out over a sharded database (fork-only).
-
-    Worker processes are forked *after* the shards are built, inheriting
-    them copy-on-write — no serialisation of the database, and per-shard
-    matching runs on real cores instead of timeslicing one GIL.  The
-    price is point-in-time semantics: workers see the database **as of
-    fork time**; parent-side mutations after construction are invisible
-    to them.  Use it as a read-only analytical surface (bulk candidate
-    enumeration, capacity reports), close it, and re-create it after
-    bulk mutations.  :meth:`match` resolves the matched names against
-    the parent's *current* records.
-
-    Requires the ``fork`` start method (POSIX); raises
-    :class:`DatabaseError` where only spawn exists.
-    """
-
-    def __init__(self, database: ShardedWhitePagesDatabase, *,
-                 processes: Optional[int] = None):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise DatabaseError(
-                "ParallelMatcher needs the fork start method; this "
-                "platform only offers "
-                f"{multiprocessing.get_all_start_methods()}")
-        self._database = database
-        shards = database.shards
-        self._token = next(_FORK_TOKENS)
-        _FORK_REGISTRY[self._token] = shards
-        n = processes or min(len(shards), os.cpu_count() or 1)
-        self.processes = max(1, n)
-        ctx = multiprocessing.get_context("fork")
-        # Fork happens here: the registry entry (and through it the
-        # shards) is captured in every worker's address space.  The
-        # exclusive hold guarantees no shard lock is mid-held by a
-        # concurrent writer at fork time — a lock forked in the held
-        # state has no owning thread in the child and would deadlock
-        # the first match on that shard.
-        with database.exclusive():
-            self._pool = ctx.Pool(processes=self.processes)
-        self._closed = False
-
-    # -- queries --------------------------------------------------------------
-
-    def match_names(self, plan: Any = None, *,
-                    include_taken: bool = False) -> List[str]:
-        """Matching machine names in global name order (as-of-fork)."""
-        self._check_open()
-        results = [
-            self._pool.apply_async(
-                _forked_match_names,
-                (self._token, i, plan, include_taken))
-            for i in range(len(self._database.shards))
-        ]
-        return _merge_names([r.get() for r in results])
-
-    def match(self, plan: Any = None, *,
-              include_taken: bool = False) -> List[MachineRecord]:
-        """Matched names resolved against the parent's current records.
-
-        Names that disappeared from the parent since fork are dropped
-        (the same tombstone-tolerance ``match`` itself applies).
-        """
-        from repro.errors import UnknownMachineError
-        out: List[MachineRecord] = []
-        for name in self.match_names(plan, include_taken=include_taken):
-            try:
-                out.append(self._database.get(name))
-            except UnknownMachineError:
-                continue  # removed from the parent since fork
-        return out
-
-    def count(self, plan: Any = None, *, include_taken: bool = False) -> int:
-        self._check_open()
-        results = [
-            self._pool.apply_async(
-                _forked_count, (self._token, i, plan, include_taken))
-            for i in range(len(self._database.shards))
-        ]
-        return sum(r.get() for r in results)
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise DatabaseError("ParallelMatcher is closed")
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._pool.terminate()
-        self._pool.join()
-        _FORK_REGISTRY.pop(self._token, None)
-
-    def __enter__(self) -> "ParallelMatcher":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +542,6 @@ def save_sharded_database(db: WhitePages, path: Union[str, Path], *,
 
 def _load_manifest_shards(manifest: Dict[str, Any], base: Path, *,
                           use_index_snapshot: bool,
-                          max_workers: Optional[int],
                           columnar: Optional[bool] = None
                           ) -> List[WhitePagesDatabase]:
     from repro.database.persistence import loads_database
@@ -767,8 +557,8 @@ def _load_manifest_shards(manifest: Dict[str, Any], base: Path, *,
         raise DatabaseError("shard manifest files/shards mismatch")
     checksums = manifest.get("checksums")
 
-    def load_one(i_name: Tuple[int, str]) -> WhitePagesDatabase:
-        i, name = i_name
+    shard_dbs: List[WhitePagesDatabase] = []
+    for i, name in enumerate(files):
         try:
             text = (base / name).read_text(encoding="utf-8")
         except OSError as exc:
@@ -778,24 +568,15 @@ def _load_manifest_shards(manifest: Dict[str, Any], base: Path, *,
             raise DatabaseError(f"shard file {name!r} fails its checksum")
         # sidecar_dir lets a v4 shard file mmap-attach its column
         # sidecar instead of rebuilding columns from rows.
-        return loads_database(text, use_index_snapshot=use_index_snapshot,
-                              columnar=columnar, sidecar_dir=base)
-
-    items = list(enumerate(files))
-    workers = min(max_workers or 0, len(items))
-    if workers >= 2:
-        # Threaded shard loads: file reads and the CRC/zlib portions
-        # overlap; the JSON parse itself is still GIL-serial.
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(load_one, items))
-    return [load_one(item) for item in items]
+        shard_dbs.append(loads_database(
+            text, use_index_snapshot=use_index_snapshot,
+            columnar=columnar, sidecar_dir=base))
+    return shard_dbs
 
 
 def load_sharded_database(path: Union[str, Path], *,
                           shards: Optional[int] = None,
                           use_index_snapshot: bool = True,
-                          max_workers: Optional[int] = None,
                           columnar: Optional[bool] = None
                           ) -> ShardedWhitePagesDatabase:
     """Load a shard manifest *or* any plain snapshot into a sharded DB.
@@ -805,7 +586,7 @@ def load_sharded_database(path: Union[str, Path], *,
       and is adopted as-is after routing validation.
     - Manifest + different ``shards``: records are gathered and
       re-partitioned; per-shard catalogs rebuild from records.
-    - Plain v1/v2/v3 snapshot: loaded through the normal single-file
+    - Plain v3/v4 snapshot: loaded through the normal single-file
       path, then coerced.  ``shards=1`` (or None) keeps the restored
       catalog; a larger count re-partitions and rebuilds.
 
@@ -829,16 +610,14 @@ def load_sharded_database(path: Union[str, Path], *,
     if manifest is not None:
         shard_dbs = _load_manifest_shards(
             manifest, path.parent, use_index_snapshot=use_index_snapshot,
-            max_workers=max_workers, columnar=columnar)
+            columnar=columnar)
         if shards is None or shards == len(shard_dbs):
-            return ShardedWhitePagesDatabase.from_shard_databases(
-                shard_dbs, max_workers=max_workers)
+            return ShardedWhitePagesDatabase.from_shard_databases(shard_dbs)
         want = columnar if columnar is not None \
             else all(db.columnar for db in shard_dbs)
         records = [rec for db in shard_dbs
                    for rec in (db.get(name) for name in db.names())]
         return ShardedWhitePagesDatabase(records, shards=shards,
-                                         max_workers=max_workers,
                                          columnar=want)
     from repro.database.persistence import loads_database
     single = loads_database(text, use_index_snapshot=use_index_snapshot,
@@ -846,10 +625,7 @@ def load_sharded_database(path: Union[str, Path], *,
     if shards is None or shards == 1:
         # N=1 coercion: adopt the loaded database (restored catalog and
         # all) as the only shard.
-        return ShardedWhitePagesDatabase.from_shard_databases(
-            [single], max_workers=max_workers)
+        return ShardedWhitePagesDatabase.from_shard_databases([single])
     want = columnar if columnar is not None else single.columnar
     records = [single.get(name) for name in single.names()]
-    return ShardedWhitePagesDatabase(records, shards=shards,
-                                     max_workers=max_workers,
-                                     columnar=want)
+    return ShardedWhitePagesDatabase(records, shards=shards, columnar=want)

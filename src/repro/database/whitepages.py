@@ -16,10 +16,6 @@ The database therefore supports three operations beyond registry CRUD:
   for a pool (returns False if another pool already holds it);
 - :meth:`WhitePagesDatabase.release` — return machines to the free set
   (used when a pool is destroyed, split, or rebalanced).
-
-:meth:`WhitePagesDatabase.scan` remains as a deprecated O(n) shim for
-callers still holding opaque predicates; new code compiles a plan
-(:func:`repro.core.plan.compile_plan`) and calls :meth:`match`.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
 
 __all__ = ["WhitePagesDatabase"]
 
-Predicate = Callable[[MachineRecord], bool]
 #: Record-change callback: ``fn(machine_name, record_or_None)``.
 Listener = Callable[[str, Optional[MachineRecord]], None]
 
@@ -504,36 +499,6 @@ class WhitePagesDatabase:
                 break  # remaining probes are even larger (sorted by cost)
             candidates = candidates.intersection(names_of(probe))
         return candidates
-
-    # -- scanning (deprecated shim) ---------------------------------------------
-
-    def scan(self, predicate: Optional[Predicate] = None,
-             include_taken: bool = False) -> List[MachineRecord]:
-        """Walk the database, returning records that satisfy ``predicate``.
-
-        .. deprecated::
-            This is the pre-engine O(n) interface, kept for callers that
-            still hold opaque predicates (and as the brute-force oracle
-            the index-consistency tests compare against).  New code
-            should compile a plan and call :meth:`match`.
-
-        The walk reuses the maintained sorted name view (no per-call
-        re-sort), and the predicate — arbitrary caller code — runs on an
-        immutable snapshot *outside* the lock.
-
-        By default only *untaken* machines are returned, since a pool's
-        initialisation walk must not steal machines already aggregated
-        into another pool.
-        """
-        with self._lock:
-            if include_taken:
-                snapshot = [self._records[name] for name in self._names]
-            else:
-                snapshot = [self._records[name] for name in self._names
-                            if name in self._free]
-        if predicate is None:
-            return snapshot
-        return [rec for rec in snapshot if predicate(rec)]
 
     def count_up(self) -> int:
         with self._lock:

@@ -139,23 +139,20 @@ def build_database(
     *,
     with_shadows: bool = False,
     shards: int = 1,
-    shard_workers: Optional[int] = None,
     columnar: bool = False,
 ):
     """Build a white-pages database (and optionally shadow registry).
 
     ``shards > 1`` partitions the fleet across a
-    :class:`~repro.database.sharding.ShardedWhitePagesDatabase`
-    (``shard_workers`` enables its thread fan-out); the default stays a
-    plain single-shard :class:`WhitePagesDatabase`.  ``columnar=True``
-    builds each shard with the vectorized match kernel.
+    :class:`~repro.database.sharding.ShardedWhitePagesDatabase`; the
+    default stays a plain single-shard :class:`WhitePagesDatabase`.
+    ``columnar=True`` builds each shard with the vectorized match kernel.
     """
     spec = spec or FleetSpec()
     records = build_fleet(spec)
     if shards > 1:
         from repro.database.sharding import ShardedWhitePagesDatabase
         db = ShardedWhitePagesDatabase(records, shards=shards,
-                                       max_workers=shard_workers,
                                        columnar=columnar)
     else:
         db = WhitePagesDatabase(records, columnar=columnar)

@@ -1,10 +1,7 @@
 """Long-lived shard workers: live white-pages shards behind the wire.
 
-PR 4's :class:`~repro.database.sharding.ParallelMatcher` buys multi-core
-matching by forking point-in-time copies of the shards — every matcher
-pays the fork + copy-on-write cost and discards all warm state when it
-closes.  A :class:`ShardWorker` is the persistent alternative: one
-process owns one **live** :class:`~repro.database.whitepages
+A :class:`ShardWorker` is how the white pages match on more than one
+core: one process owns one **live** :class:`~repro.database.whitepages
 .WhitePagesDatabase` shard — attribute indexes, subscription map, and
 query-class caches stay warm across requests — and serves shard verbs
 over the length-prefixed JSON frame protocol
@@ -30,7 +27,6 @@ verb               request fields             reply
 ``count``          ``clauses``,               ``count``
                    ``include_taken``
 ``names``          —                          ``names``
-``scan``           ``include_taken``          ``records`` (rows, name order)
 ``take``           ``name``, ``pool``         ``ok`` with ``taken`` bool
 ``take_all``       ``names``, ``pool``        ``names`` (actually taken)
 ``release``        ``name``, ``pool``         ``ok``
@@ -708,16 +704,6 @@ class ShardWorker:
         """All machine names on this shard, name-ordered (fan-out
         read; merged client-side).  Returns ``{"kind": "names"}``."""
         return {"kind": "names", "names": self.database.names()}
-
-    def _verb_scan(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Every record on this shard in name order (fan-out read).
-
-        Args (frame fields): ``include_taken``.
-        Returns: ``{"kind": "records", "rows"}``.
-        """
-        records = self.database.scan(
-            None, include_taken=bool(frame.get("include_taken", False)))
-        return {"kind": "records", "rows": [r.to_row() for r in records]}
 
     def _verb_count_up(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Count of machines in the ``up`` state on this shard (fan-out

@@ -41,6 +41,24 @@ def make_machine(name: str = "m0", **overrides) -> MachineRecord:
     return MachineRecord(**defaults)
 
 
+def linear_oracle(db, predicate=None, include_taken=False):
+    """Brute-force reference for ``match``: every record the predicate
+    accepts, in name order, untaken only unless ``include_taken``.
+
+    Walks the public point reads (``names``/``get``/``holder_of``) so it
+    works on every engine and shares nothing with plans, indexes or
+    columns — the code under test.
+    """
+    out = []
+    for name in db.names():
+        if not include_taken and db.holder_of(name) is not None:
+            continue
+        record = db.get(name)
+        if predicate is None or predicate(record):
+            out.append(record)
+    return out
+
+
 @pytest.fixture
 def small_db() -> WhitePagesDatabase:
     """Ten machines: six sun, four hp."""
@@ -63,4 +81,4 @@ def fleet_db() -> WhitePagesDatabase:
 
 
 # Re-export for direct import in test modules.
-__all__ = ["make_machine"]
+__all__ = ["make_machine", "linear_oracle"]

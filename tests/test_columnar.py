@@ -35,6 +35,8 @@ from repro.database.sharding import (
 )
 from repro.database.whitepages import WhitePagesDatabase
 
+from tests.conftest import linear_oracle
+
 needs_numpy = pytest.mark.skipif(
     not columnar_mod.HAVE_NUMPY, reason="columnar kernel needs numpy")
 
@@ -161,8 +163,8 @@ class TestColumnarEquivalence:
         got = _names_of(col.match(plan, include_taken=include_taken))
         assert got == want
         clause_set = plan.clause_set
-        oracle = _names_of(row.scan(
-            lambda rec: clause_set.matches_view(rec.attribute_view()),
+        oracle = _names_of(linear_oracle(
+            row, lambda rec: clause_set.matches_view(rec.attribute_view()),
             include_taken=include_taken))
         assert got == oracle
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.language import parse_query
 from repro.database.directory import LocalDirectoryService
 from repro.database.fields import DYNAMIC_FIELDS, FIELD_NAMES, MachineState
 from repro.database.policy import (
@@ -102,20 +103,21 @@ class TestWhitePages:
             small_db.add(make_machine("sun00"))
 
     def test_scan_with_predicate(self, small_db):
-        suns = small_db.scan(lambda r: r.parameter("arch") == "sun")
+        suns = small_db.match(parse_query("punch.rsrc.arch = sun").basic())
         assert len(suns) == 6
         assert all(r.parameter("arch") == "sun" for r in suns)
 
     def test_scan_deterministic_order(self, small_db):
-        names = [r.machine_name for r in small_db.scan()]
+        names = [r.machine_name for r in small_db.match()]
         assert names == sorted(names)
+        assert len(names) == len(small_db)
 
     def test_take_excludes_from_scan(self, small_db):
         assert small_db.take("sun00", "poolA")
-        visible = [r.machine_name for r in small_db.scan()]
+        visible = [r.machine_name for r in small_db.match()]
         assert "sun00" not in visible
         assert "sun00" in [r.machine_name
-                           for r in small_db.scan(include_taken=True)]
+                           for r in small_db.match(include_taken=True)]
 
     def test_take_conflict(self, small_db):
         assert small_db.take("sun01", "poolA")

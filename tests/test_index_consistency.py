@@ -32,6 +32,8 @@ from repro.database.records import MachineRecord, ServiceStatusFlags
 from repro.database.whitepages import WhitePagesDatabase
 from repro.errors import NoResourceAvailableError
 
+from tests.conftest import linear_oracle
+
 _ARCHES = ("sun", "hp", "x86", "vax")
 _OSES = ("solaris", "hpux", "linux")
 _CMS = ("sge", "pbs", "condor", "sge,pbs", "pbs,condor", "")
@@ -145,8 +147,8 @@ class TestIndexConsistency:
         got = [r.machine_name
                for r in db.match(plan, include_taken=include_taken)]
         oracle = [r.machine_name
-                  for r in db.scan(query.matches_machine,
-                                   include_taken=include_taken)]
+                  for r in linear_oracle(db, query.matches_machine,
+                                         include_taken=include_taken)]
         assert got == oracle
 
     @settings(max_examples=60, deadline=None)
@@ -186,8 +188,8 @@ class TestIndexConsistency:
             _apply(db, op)
         plan = compile_plan(query)
         oracle = [r.machine_name
-                  for r in db.scan(query.matches_machine,
-                                   include_taken=include_taken)]
+                  for r in linear_oracle(db, query.matches_machine,
+                                         include_taken=include_taken)]
         db.intersect_max_paths = 8
         db.intersect_ratio = float("inf")
         forced = [r.machine_name
@@ -222,7 +224,7 @@ class TestIndexConsistency:
         got = [r.machine_name
                for r in restored.match(plan, include_taken=True)]
         oracle = [r.machine_name
-                  for r in restored.scan(query.matches_machine,
+                  for r in linear_oracle(restored, query.matches_machine,
                                          include_taken=True)]
         assert got == oracle
 
@@ -249,8 +251,8 @@ class TestIndexConsistency:
         plan = compile_plan(query)
         got = [r.machine_name for r in db.match(plan, include_taken=True)]
         oracle = [r.machine_name
-                  for r in db.scan(query.matches_machine,
-                                   include_taken=True)]
+                  for r in linear_oracle(db, query.matches_machine,
+                                         include_taken=True)]
         assert got == oracle
 
 

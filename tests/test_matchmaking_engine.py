@@ -24,7 +24,7 @@ from repro.database.indexes import (
 from repro.database.policy import PolicyRegistry, always_deny
 from repro.errors import ConfigError
 
-from tests.conftest import make_machine
+from tests.conftest import linear_oracle, make_machine
 
 
 def q(text):
@@ -59,7 +59,7 @@ class TestClauseSet:
     def test_matches_record_equals_query_semantics(self, small_db):
         query = q("punch.rsrc.arch = sun\npunch.rsrc.memory = >=128")
         cs = ClauseSet.from_query(query)
-        for rec in small_db.scan(include_taken=True):
+        for rec in linear_oracle(small_db, include_taken=True):
             assert cs.matches_record(rec) == query.matches_machine(rec)
 
 
@@ -175,7 +175,7 @@ class TestDatabaseMatch:
     def test_match_equals_scan(self, small_db):
         query = q("punch.rsrc.arch = sun")
         got = small_db.match(compile_plan(query))
-        oracle = small_db.scan(query.matches_machine)
+        oracle = linear_oracle(small_db, query.matches_machine)
         assert [r.machine_name for r in got] == \
             [r.machine_name for r in oracle]
 
@@ -221,8 +221,8 @@ class TestDatabaseMatch:
 
     def test_match_range_only_query(self, small_db):
         plan = compile_plan([rsrc("memory", Op.LE, 300.0)])
-        oracle = small_db.scan(
-            q("punch.rsrc.memory = <=300").matches_machine)
+        oracle = linear_oracle(
+            small_db, q("punch.rsrc.memory = <=300").matches_machine)
         assert [r.machine_name for r in small_db.match(plan)] == \
             [r.machine_name for r in oracle]
 
@@ -240,7 +240,7 @@ class TestDatabaseMatch:
         ])
         query = q("punch.rsrc.memory = 200..300")
         got = [r.machine_name for r in db.match(compile_plan(query))]
-        oracle = [r.machine_name for r in db.scan(query.matches_machine)]
+        oracle = [r.machine_name for r in linear_oracle(db, query.matches_machine)]
         assert got == oracle == ["real1"]
         # Updating a NaN-valued record away and back must not leak
         # stale index entries either.
@@ -262,7 +262,7 @@ class TestDatabaseMatch:
         plan = compile_plan([query])
         got = [r.machine_name for r in db.match(plan)]
         oracle = [r.machine_name
-                  for r in db.scan(lambda r: query.matches(
+                  for r in linear_oracle(db, lambda r: query.matches(
                       r.attribute_view().get("flag")))]
         assert got == oracle == ["m0"]
         assert db.match(compile_plan([

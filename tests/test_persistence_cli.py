@@ -12,15 +12,15 @@ from repro.database.persistence import (
     dumps_database,
     load_database,
     loads_database,
-    record_from_dict,
-    record_to_dict,
     restore_catalog,
     save_database,
 )
-from repro.database.records import ServiceStatusFlags
+from repro.database.indexes import pack_array, unpack_array
+from repro.database.records import MachineRecord, ServiceStatusFlags
+from repro.database.whitepages import WhitePagesDatabase
 from repro.errors import DatabaseError
 
-from tests.conftest import make_machine
+from tests.conftest import linear_oracle, make_machine
 
 
 class TestPersistence:
@@ -33,7 +33,8 @@ class TestPersistence:
             usage_policy="light",
             service_status_flags=ServiceStatusFlags(pvfs_manager_up=False),
         )
-        assert record_from_dict(record_to_dict(rec)) == rec
+        restored = loads_database(dumps_database(WhitePagesDatabase([rec])))
+        assert restored.get("m1") == rec
 
     def test_database_roundtrip(self, fleet_db):
         restored = loads_database(dumps_database(fleet_db))
@@ -72,9 +73,11 @@ class TestPersistence:
             loads_database(json.dumps(
                 {"format": "repro.whitepages", "version": 99}))
 
-    def test_malformed_record_rejected(self):
-        with pytest.raises(DatabaseError):
-            record_from_dict({"state": "up"})  # missing machine_name
+    def test_malformed_record_rejected(self, small_db):
+        payload = json.loads(dumps_database(small_db))
+        payload["machines"][0][0] = ""  # missing machine_name
+        with pytest.raises(DatabaseError, match="malformed v3 machine row"):
+            loads_database(json.dumps(payload))
 
     def test_snapshot_is_diff_friendly(self, small_db):
         a = dumps_database(small_db)
@@ -83,18 +86,17 @@ class TestPersistence:
 
 
 class TestIndexSnapshot:
-    """Version-2 snapshots restore the index catalog instead of
-    rebuilding; every guard failure must fall back to a rebuild."""
+    """Snapshots restore the index catalog instead of rebuilding;
+    every guard failure must fall back to a rebuild."""
 
     def _parsed(self, db):
-        return json.loads(dumps_database(db, version=2))
+        return json.loads(dumps_database(db))
 
     def _records(self, payload):
-        return [record_from_dict(m) for m in payload["machines"]]
+        return [MachineRecord.from_row(row) for row in payload["machines"]]
 
-    def test_v2_snapshot_restores_catalog(self, small_db):
+    def test_snapshot_restores_catalog(self, small_db):
         payload = self._parsed(small_db)
-        assert payload["version"] == 2
         catalog = restore_catalog(payload, self._records(payload))
         assert catalog is not None
         assert catalog.stats()["machines"] == len(small_db)
@@ -102,7 +104,7 @@ class TestIndexSnapshot:
     def test_restored_database_matches_rebuilt(self, fleet_db):
         from repro.core.language import parse_query
         from repro.core.plan import compile_plan
-        text = dumps_database(fleet_db, version=2)
+        text = dumps_database(fleet_db)
         restored = loads_database(text)
         rebuilt = loads_database(text, use_index_snapshot=False)
         assert restored.index_stats() == rebuilt.index_stats()
@@ -113,15 +115,15 @@ class TestIndexSnapshot:
 
     def test_checksum_mismatch_falls_back(self, small_db):
         payload = self._parsed(small_db)
-        payload["machines"][0]["current_load"] = 77.0  # hand-edited fleet
+        payload["machines"][0][2] = 77.0  # current_load, hand-edited
         assert restore_catalog(payload, self._records(payload)) is None
         # ...but the snapshot still loads, with correct (rebuilt) indexes.
         db = loads_database(json.dumps(payload))
-        name = payload["machines"][0]["machine_name"]
+        name = payload["machines"][0][0]
         assert db.get(name).current_load == 77.0
         got = [r.machine_name for r in db.match(None, include_taken=True)]
         assert got == [r.machine_name
-                       for r in db.scan(None, include_taken=True)]
+                       for r in linear_oracle(db, include_taken=True)]
 
     def test_index_schema_mismatch_falls_back(self, small_db):
         payload = self._parsed(small_db)
@@ -136,23 +138,20 @@ class TestIndexSnapshot:
 
     def test_unsorted_sorted_array_falls_back(self, fleet_db):
         payload = self._parsed(fleet_db)
-        attr = next(a for a, b in payload["indexes"]["sorted"].items()
-                    if len(set(b["values"])) > 1)
-        payload["indexes"]["sorted"][attr]["values"].reverse()
+        blocks = payload["indexes"]["sorted"]
+        attr, values = next(
+            (a, v) for a, v in ((a, unpack_array("d", b["values"]).tolist())
+                                for a, b in blocks.items())
+            if len(set(v)) > 1)
+        blocks[attr]["values"] = pack_array("d", values[::-1])
         assert restore_catalog(payload, self._records(payload)) is None
 
     def test_misaligned_sorted_arrays_fall_back(self, small_db):
         payload = self._parsed(small_db)
-        attr = next(iter(payload["indexes"]["sorted"]))
-        payload["indexes"]["sorted"][attr]["names"].append("ghost")
+        block = next(iter(payload["indexes"]["sorted"].values()))
+        ids = unpack_array("I", block["names"]).tolist()
+        block["names"] = pack_array("I", ids + [0])  # one id too many
         assert restore_catalog(payload, self._records(payload)) is None
-
-    def test_v1_snapshot_without_indexes_still_loads(self, small_db):
-        payload = self._parsed(small_db)
-        del payload["indexes"]
-        payload["version"] = 1
-        db = loads_database(json.dumps(payload))
-        assert db.names() == small_db.names()
 
     def test_records_only_dump_is_v1_compatible_shape(self, small_db):
         payload = json.loads(dumps_database(small_db,
@@ -168,8 +167,8 @@ class TestIndexSnapshot:
 
 
 class TestV3CompactSnapshot:
-    """Version-3 compact snapshots: positional rows, fast loader, the
-    same guard-and-fallback discipline as v2 — and v2 files still load."""
+    """Version-3 compact snapshots: positional rows, fast loader,
+    row-id index image with its own guard-and-fallback discipline."""
 
     def test_default_write_format_is_v3(self, small_db):
         payload = json.loads(dumps_database(small_db))
@@ -178,7 +177,6 @@ class TestV3CompactSnapshot:
         assert isinstance(payload["machines"][0], list)
 
     def test_row_codec_roundtrip(self):
-        from repro.database.records import MachineRecord
         rec = make_machine(
             "m1",
             state=MachineState.BLOCKED,
@@ -188,18 +186,6 @@ class TestV3CompactSnapshot:
             service_status_flags=ServiceStatusFlags(pvfs_manager_up=False),
         )
         assert MachineRecord.from_row(rec.to_row()) == rec
-
-    def test_v3_roundtrip_equals_v2_roundtrip(self, fleet_db):
-        via_v3 = loads_database(dumps_database(fleet_db, version=3))
-        via_v2 = loads_database(dumps_database(fleet_db, version=2))
-        assert via_v3.names() == via_v2.names()
-        for name in via_v3.names():
-            assert via_v3.get(name) == via_v2.get(name)
-
-    def test_v3_is_smaller_than_v2(self, fleet_db):
-        v3 = dumps_database(fleet_db, version=3)
-        v2 = dumps_database(fleet_db, version=2)
-        assert len(v3) * 3 <= len(v2)
 
     def test_v3_restores_catalog(self, fleet_db):
         text = dumps_database(fleet_db, version=3)
@@ -230,7 +216,7 @@ class TestV3CompactSnapshot:
         db = loads_database(json.dumps(payload))
         got = [r.machine_name for r in db.match(None, include_taken=True)]
         assert got == [r.machine_name
-                       for r in db.scan(None, include_taken=True)]
+                       for r in linear_oracle(db, include_taken=True)]
 
     def test_corrupt_packed_array_falls_back_to_rebuild(self, small_db):
         payload = json.loads(dumps_database(small_db, version=3))
@@ -242,7 +228,7 @@ class TestV3CompactSnapshot:
             got = [r.machine_name
                    for r in db.match(None, include_taken=True)]
             assert got == [r.machine_name
-                           for r in db.scan(None, include_taken=True)]
+                           for r in linear_oracle(db, include_taken=True)]
 
     def test_boolean_row_ids_fall_back_to_rebuild(self, small_db):
         """JSON true/false in a posting list must not index rows 1/0."""
@@ -254,10 +240,9 @@ class TestV3CompactSnapshot:
         db = loads_database(json.dumps(payload))
         got = [r.machine_name for r in db.match(None, include_taken=True)]
         assert got == [r.machine_name
-                       for r in db.scan(None, include_taken=True)]
+                       for r in linear_oracle(db, include_taken=True)]
 
     def test_out_of_range_packed_sorted_id_falls_back(self, small_db):
-        from repro.database.indexes import pack_array
         payload = json.loads(dumps_database(small_db, version=3))
         attr = next(iter(payload["indexes"]["sorted"]))
         n = len(payload["machines"])
@@ -269,7 +254,7 @@ class TestV3CompactSnapshot:
         assert len(db) == len(small_db)
 
     def test_invalid_row_values_rejected_at_load(self, small_db):
-        """from_row applies the same domain guards as the v2 parser."""
+        """from_row applies the same domain guards as the constructor."""
         from repro.database.records import RECORD_ROW_FIELDS
         for field_name, bad in [("num_cpus", 0), ("effective_speed", 0.0),
                                 ("max_allowed_load", 0.0),
@@ -285,7 +270,6 @@ class TestV3CompactSnapshot:
         """Two machines sharing an infinite numeric parameter must not
         trip the packed monotonicity check (inf - inf is NaN under a
         diff, but inf <= inf is True)."""
-        from repro.database.whitepages import WhitePagesDatabase
         db = WhitePagesDatabase([
             make_machine("m1", admin_parameters={"weight": "inf"}),
             make_machine("m2", admin_parameters={"weight": "inf"}),
@@ -304,7 +288,6 @@ class TestV3CompactSnapshot:
             loads_database(json.dumps(payload))
 
     def test_unpack_array_roundtrip_and_errors(self):
-        from repro.database.indexes import pack_array, unpack_array
         vals = [0.0, 1.5, float("inf")]
         assert unpack_array("d", pack_array("d", vals)).tolist() == vals
         ids = [0, 7, 4096]
@@ -322,7 +305,7 @@ class TestV3CompactSnapshot:
         assert db.get(name).current_load == 77.0
         got = [r.machine_name for r in db.match(None, include_taken=True)]
         assert got == [r.machine_name
-                       for r in db.scan(None, include_taken=True)]
+                       for r in linear_oracle(db, include_taken=True)]
 
     def test_records_only_v3_loads(self, small_db):
         payload = json.loads(dumps_database(small_db, version=3,
@@ -337,6 +320,10 @@ class TestV3CompactSnapshot:
     def test_unknown_write_version_rejected(self, small_db):
         with pytest.raises(DatabaseError):
             dumps_database(small_db, version=4)
+        for retired in (1, 2):
+            with pytest.raises(DatabaseError,
+                               match="cannot write snapshot version"):
+                dumps_database(small_db, version=retired)
 
     def test_v3_file_roundtrip(self, fleet_db, tmp_path):
         path = tmp_path / "fleet.v3.json"

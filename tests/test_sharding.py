@@ -1,5 +1,5 @@
 """Sharded white-pages database: routing, fan-out merge equivalence,
-per-shard snapshots, and the fork-based parallel matcher.
+and per-shard snapshots.
 
 The load-bearing property: for ANY mutation history and ANY query, a
 sharded database at N ∈ {1, 2, 8} must return *exactly* the records, in
@@ -11,7 +11,6 @@ per-shard snapshot manifest.
 from __future__ import annotations
 
 import json
-import multiprocessing
 
 import pytest
 from hypothesis import given, settings
@@ -26,12 +25,11 @@ from repro.core.signature import PoolName
 from repro.database.fields import MachineState
 from repro.database.persistence import (
     dumps_database,
+    load_database,
     loads_database,
-    record_to_dict,
 )
 from repro.database.records import MachineRecord
 from repro.database.sharding import (
-    ParallelMatcher,
     ShardedWhitePagesDatabase,
     is_shard_manifest,
     load_sharded_database,
@@ -46,8 +44,6 @@ SHARD_COUNTS = (1, 2, 8)
 _ARCHES = ("sun", "hp", "x86")
 _MEMORIES = ("64", "128", "256", "512")
 _NAMES = tuple(f"m{i:02d}" for i in range(14))
-
-_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def _record(name: str, arch: str, memory: str, load: float,
@@ -232,31 +228,6 @@ class TestMatchEquivalence:
             _apply_both(single, sharded, op)
         assert sharded.names() == single.names()
 
-    def test_threaded_fanout_same_answer(self, fleet_db):
-        records = [fleet_db.get(n) for n in fleet_db.names()]
-        serial = ShardedWhitePagesDatabase(records, shards=8)
-        threaded = ShardedWhitePagesDatabase(records, shards=8,
-                                             max_workers=4)
-        try:
-            query = Query(clauses=(
-                Clause("punch", "rsrc", "memory", Op.GE, 128.0),))
-            assert [r.machine_name for r in threaded.match(query)] == \
-                [r.machine_name for r in serial.match(query)]
-            assert threaded.count(query) == serial.count(query)
-            assert threaded.scan(include_taken=True) == \
-                serial.scan(include_taken=True)
-        finally:
-            threaded.close()
-
-    def test_intersect_knobs_fan_out(self):
-        db = ShardedWhitePagesDatabase(
-            [_record(n, "sun", "128", 0.0, True) for n in _NAMES], shards=4)
-        db.intersect_max_paths = 1
-        db.intersect_ratio = 2.0
-        assert all(s.intersect_max_paths == 1 for s in db.shards)
-        assert all(s.intersect_ratio == 2.0 for s in db.shards)
-        assert db.intersect_max_paths == 1
-
 
 class TestSnapshotRoundTrip:
     @settings(max_examples=25, deadline=None)
@@ -291,9 +262,8 @@ class TestSnapshotRoundTrip:
             loaded = load_sharded_database(path)
             assert loaded.shard_count == n
             assert loaded.names() == oracle.names()
-            assert [record_to_dict(loaded.get(name))
-                    for name in loaded.names()] == \
-                [record_to_dict(oracle.get(name)) for name in oracle.names()]
+            assert [loaded.get(name) for name in loaded.names()] == \
+                [oracle.get(name) for name in oracle.names()]
             got = [r.machine_name
                    for r in loaded.match(plan, include_taken=True)]
             assert got == want
@@ -325,26 +295,22 @@ class TestSnapshotRoundTrip:
         assert re2.shard_count == 2
         assert re2.names() == small_db.names()
 
-    def test_v1_and_v2_files_coerce_into_sharded(self, tmp_path, small_db):
-        """Old single-file formats must keep loading: v2 written by the
-        current dumper, v1 hand-built (records only, no index section)."""
-        v2_path = tmp_path / "v2.json"
-        v2_path.write_text(dumps_database(small_db, version=2))
-        v1_payload = {
-            "format": "repro.whitepages",
-            "version": 1,
-            "machines": [record_to_dict(small_db.get(n))
-                         for n in small_db.names()],
-        }
-        v1_path = tmp_path / "v1.json"
-        v1_path.write_text(json.dumps(v1_payload))
-        for path in (v1_path, v2_path):
-            coerced = load_sharded_database(path)
-            assert coerced.shard_count == 1  # N=1 coercion
-            assert coerced.names() == small_db.names()
-            resharded = load_sharded_database(path, shards=8)
-            assert resharded.shard_count == 8
-            assert resharded.names() == small_db.names()
+    def test_v1_and_v2_files_are_refused_by_both_loaders(self, tmp_path):
+        """The retired dict-per-machine formats fail closed, by name —
+        never a traceback from a half-parsed row, never an empty
+        database."""
+        for version in (1, 2):
+            path = tmp_path / f"v{version}.json"
+            path.write_text(json.dumps({
+                "format": "repro.whitepages",
+                "version": version,
+                "machines": [{"machine_name": "m00", "state": "up"}],
+            }))
+            for loader in (load_database, load_sharded_database):
+                with pytest.raises(
+                        DatabaseError,
+                        match=f"unsupported snapshot version {version}"):
+                    loader(path)
 
     def test_corrupt_shard_file_is_rejected(self, tmp_path, small_db):
         records = [small_db.get(n) for n in small_db.names()]
@@ -372,17 +338,6 @@ class TestSnapshotRoundTrip:
             dumps_database(sharded)
         with pytest.raises(DatabaseError):
             sharded.catalog_snapshot()
-
-    def test_parallel_shard_load(self, tmp_path, fleet_db):
-        records = [fleet_db.get(n) for n in fleet_db.names()]
-        path = tmp_path / "fleet.json"
-        save_sharded_database(
-            ShardedWhitePagesDatabase(records, shards=8), path)
-        loaded = load_sharded_database(path, max_workers=4)
-        try:
-            assert loaded.names() == fleet_db.names()
-        finally:
-            loaded.close()
 
 
 _POOL_QUERY = Query(clauses=(Clause("punch", "rsrc", "arch", Op.EQ, "sun"),))
@@ -510,46 +465,6 @@ class TestListenerTierRemoval:
         db.remove_listener(seen.append)  # unknown fn: no-op, no raise
 
 
-@pytest.mark.skipif(not _HAS_FORK, reason="fork start method unavailable")
-class TestParallelMatcher:
-    def test_matches_equal_serial_fanout(self, fleet_db):
-        records = [fleet_db.get(n) for n in fleet_db.names()]
-        db = ShardedWhitePagesDatabase(records, shards=4)
-        query = Query(clauses=(
-            Clause("punch", "rsrc", "memory", Op.GE, 128.0),))
-        want = [r.machine_name for r in db.match(query)]
-        with ParallelMatcher(db, processes=2) as matcher:
-            assert matcher.match_names(query) == want
-            assert matcher.count(query) == len(want)
-            assert [r.machine_name for r in matcher.match(query)] == want
-            # include_taken routes through too
-            fleet_db_all = matcher.count(query, include_taken=True)
-            assert fleet_db_all >= len(want)
-
-    def test_point_in_time_semantics(self):
-        records = [_record(n, "sun", "256", 0.0, True) for n in _NAMES]
-        db = ShardedWhitePagesDatabase(records, shards=2)
-        query = Query(clauses=(
-            Clause("punch", "rsrc", "load", Op.LE, 1.0),))
-        with ParallelMatcher(db, processes=2) as matcher:
-            before = matcher.match_names(query)
-            assert before == [r.machine_name for r in db.match(query)]
-            # Parent-side mutation after fork: workers keep the old view.
-            db.update_dynamic(_NAMES[0], current_load=5.0)
-            assert matcher.match_names(query) == before
-            assert _NAMES[0] not in \
-                [r.machine_name for r in db.match(query)]
-
-    def test_closed_matcher_raises(self):
-        db = ShardedWhitePagesDatabase(
-            [_record("m00", "sun", "128", 0.0, True)], shards=1)
-        matcher = ParallelMatcher(db, processes=1)
-        matcher.close()
-        matcher.close()  # idempotent
-        with pytest.raises(DatabaseError, match="closed"):
-            matcher.match_names(None)
-
-
 class TestCliSharding:
     def test_fleet_command_writes_and_serves_manifest(self, tmp_path):
         from repro.cli import main
@@ -567,6 +482,18 @@ class TestCliSharding:
         assert main(["fleet", "--size", "16", "--out", str(out)]) == 0
         assert not is_shard_manifest(out)
         assert len(loads_database(out.read_text())) == 16
+
+    @pytest.mark.parametrize("version", ("1", "2"))
+    def test_fleet_command_refuses_retired_snapshot_versions(
+            self, tmp_path, capsys, version):
+        from repro.cli import main
+        out = tmp_path / "old.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--size", "4", "--snapshot-version", version,
+                  "--out", str(out)])
+        assert exc.value.code == 2  # argparse usage error, no traceback
+        assert "invalid choice" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExclusive:
