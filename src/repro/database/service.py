@@ -2,9 +2,9 @@
 
 Two halves:
 
-- :class:`ShardServiceClient` (a.k.a. :data:`RemoteShardedDatabase`) —
-  a synchronous client that presents the duck-typed ``WhitePages``
-  surface over N :class:`~repro.runtime.shard_worker.ShardWorker`
+- :class:`ShardServiceClient` — a synchronous client that presents
+  the duck-typed ``WhitePages`` surface over N
+  :class:`~repro.runtime.shard_worker.ShardWorker`
   endpoints.  Point operations route by CRC-32 of the machine name
   (the same :func:`~repro.database.sharding.shard_of` partition the
   in-process sharded database and the per-shard snapshot manifest use);
@@ -116,7 +116,6 @@ from repro.runtime.protocol import read_frame_sock, write_frame_sock
 
 __all__ = [
     "ShardServiceClient",
-    "RemoteShardedDatabase",
     "ShardSupervisor",
     "parse_endpoints",
     "backoff_delay",
@@ -124,6 +123,9 @@ __all__ = [
 
 #: Seconds a worker gets to report readiness before startup fails.
 _READY_TIMEOUT_S = 30.0
+
+#: Dials per (re)connect before the ``OSError`` surfaces.
+_DIAL_ATTEMPTS = 5
 
 
 def backoff_delay(attempt: int, *, base: float = 0.05, cap: float = 2.0,
@@ -183,12 +185,10 @@ class _WorkerConnection:
     """
 
     def __init__(self, host: str, port: int, *, timeout: float = 30.0,
-                 dial_attempts: int = 5,
                  metrics: Optional[MetricsRegistry] = None):
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.dial_attempts = max(1, int(dial_attempts))
         self._sock: Optional[socket.socket] = None
         self._lock = threading.Lock()
         #: Shared client registry; each dropped-socket redial bumps its
@@ -196,12 +196,12 @@ class _WorkerConnection:
         self._metrics = metrics
 
     def _dial(self) -> socket.socket:
-        for attempt in range(self.dial_attempts):
+        for attempt in range(_DIAL_ATTEMPTS):
             try:
                 sock = socket.create_connection((self.host, self.port),
                                                 timeout=self.timeout)
             except OSError:
-                if attempt + 1 >= self.dial_attempts:
+                if attempt + 1 >= _DIAL_ATTEMPTS:
                     raise
                 time.sleep(backoff_delay(attempt))
                 continue
@@ -212,18 +212,13 @@ class _WorkerConnection:
     def close(self) -> None:
         """Close the cached socket, if any; safe to call repeatedly."""
         with self._lock:
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:  # pragma: no cover - platform dependent
-                    pass
-                self._sock = None
+            self._drop()
 
     def _drop(self) -> None:
         if self._sock is not None:
             try:
                 self._sock.close()
-            except OSError:
+            except OSError:  # pragma: no cover - platform dependent
                 pass
             self._sock = None
 
@@ -503,52 +498,51 @@ class ShardServiceClient:
                 self._install_table(table)
         return self._route.table
 
-    def _point(self, machine_name: str, frame: Dict[str, Any], *,
-               idempotent: bool = True) -> Dict[str, Any]:
-        """Route one epoch-stamped point op; refresh-and-retry on a
-        stale-epoch refusal (safe for every verb — a refused op was
-        never applied or logged)."""
+    def _routed(self, attempt: Callable[[_RouteState], Any]) -> Any:
+        """Run ``attempt`` against the current routing generation; on a
+        stale-epoch refusal refresh the table and run it again (safe for
+        every verb — a refused op was never applied or logged).  Every
+        routed op goes through here."""
         for _ in range(self._MAX_ROUTE_RETRIES):
-            state = self._route
-            stamped = dict(frame)
-            stamped["epoch"] = state.table.epoch
-            stamped["trace"] = self._next_trace()
-            shard = state.table.shard_of(machine_name)
-            conn = state.conns[shard]
             try:
-                t0 = time.perf_counter()
-                reply = conn.roundtrip(stamped, idempotent=idempotent)
+                return attempt(self._route)
             except StaleRoutingError as exc:
                 self._refresh_routing(exc)
-                continue
-            self._metrics.observe(f"rtt.shard{shard}",
-                                  time.perf_counter() - t0)
-            return reply
         raise StaleRoutingError(
             f"routing kept moving: {self._MAX_ROUTE_RETRIES} epoch bumps "
             "during one op")
 
-    def _shard_roundtrip(self, shard_index: int, frame: Dict[str, Any], *,
+    def _timed_roundtrip(self, state: _RouteState, shard: int,
+                         frame: Dict[str, Any],
                          idempotent: bool = True) -> Dict[str, Any]:
-        """One round trip to shard ``shard_index`` *of the current
-        table*, with the same refresh-and-retry as point ops."""
-        for _ in range(self._MAX_ROUTE_RETRIES):
-            state = self._route
+        t0 = time.perf_counter()
+        reply = state.conns[shard].roundtrip(frame, idempotent=idempotent)
+        self._metrics.observe(f"rtt.shard{shard}", time.perf_counter() - t0)
+        return reply
+
+    def _point(self, machine_name: str, frame: Dict[str, Any], *,
+               idempotent: bool = True) -> Dict[str, Any]:
+        """Route one epoch-stamped point op by machine name."""
+        def attempt(state: _RouteState) -> Dict[str, Any]:
+            """Stamp with this generation's epoch and send."""
             stamped = dict(frame)
-            stamped.setdefault("trace", self._next_trace())
-            try:
-                t0 = time.perf_counter()
-                reply = state.conns[shard_index].roundtrip(
-                    stamped, idempotent=idempotent)
-            except StaleRoutingError as exc:
-                self._refresh_routing(exc)
-                continue
-            self._metrics.observe(f"rtt.shard{shard_index}",
-                                  time.perf_counter() - t0)
-            return reply
-        raise StaleRoutingError(
-            f"routing kept moving: {self._MAX_ROUTE_RETRIES} epoch bumps "
-            "during one op")
+            stamped["epoch"] = state.table.epoch
+            stamped["trace"] = self._next_trace()
+            return self._timed_roundtrip(
+                state, state.table.shard_of(machine_name), stamped,
+                idempotent)
+        return self._routed(attempt)
+
+    def _shard_roundtrip(self, shard_index: int,
+                         frame: Dict[str, Any]) -> Dict[str, Any]:
+        """One round trip to shard ``shard_index`` *of the current
+        table*."""
+        def attempt(state: _RouteState) -> Dict[str, Any]:
+            """Send to the same index of this generation's fleet."""
+            stamped = dict(frame)
+            stamped["trace"] = self._next_trace()
+            return self._timed_roundtrip(state, shard_index, stamped)
+        return self._routed(attempt)
 
     def _fan_out_once(self, state: _RouteState,
                       make_frame: Callable[[int], Dict[str, Any]]
@@ -598,15 +592,8 @@ class ShardServiceClient:
         """One round trip per worker; replies in shard order.  A stale
         routing refusal refreshes the table and re-fans the whole
         request over the new fleet."""
-        for _ in range(self._MAX_ROUTE_RETRIES):
-            state = self._route
-            try:
-                return self._fan_out_once(state, make_frame)
-            except StaleRoutingError as exc:
-                self._refresh_routing(exc)
-        raise StaleRoutingError(
-            f"routing kept moving: {self._MAX_ROUTE_RETRIES} epoch bumps "
-            "during one fan-out")
+        return self._routed(
+            lambda state: self._fan_out_once(state, make_frame))
 
     # -- client-side listeners ------------------------------------------------
 
@@ -825,36 +812,26 @@ class ShardServiceClient:
         if not names:
             return []
         taken: Set[str] = set()
+        done: Set[str] = set()  # attempted, under whichever table
         trace = self._next_trace()  # one logical op, however many groups
-        with self._oplock:
-            remaining = names
-            for _ in range(self._MAX_ROUTE_RETRIES):
-                if not remaining:
-                    break
-                state = self._route
-                groups: Dict[int, List[str]] = {}
-                for name in remaining:
+
+        def attempt(state: _RouteState) -> None:
+            """Group the not-yet-attempted names by shard and send."""
+            groups: Dict[int, List[str]] = {}
+            for name in names:
+                if name not in done:
                     groups.setdefault(state.table.shard_of(name),
                                       []).append(name)
-                done: Set[str] = set()
-                try:
-                    for i, group in groups.items():
-                        reply = state.conns[i].roundtrip({
-                            "kind": "take_all", "names": group,
-                            "pool": pool_name,
-                            "epoch": state.table.epoch,
-                            "trace": trace})
-                        taken.update(reply["names"])
-                        done.update(group)
-                except StaleRoutingError as exc:
-                    remaining = [n for n in remaining if n not in done]
-                    self._refresh_routing(exc)
-                    continue
-                remaining = []
-            else:
-                raise StaleRoutingError(
-                    f"routing kept moving: {self._MAX_ROUTE_RETRIES} "
-                    "epoch bumps during one take_all")
+            for i, group in groups.items():
+                reply = state.conns[i].roundtrip({
+                    "kind": "take_all", "names": group,
+                    "pool": pool_name,
+                    "epoch": state.table.epoch,
+                    "trace": trace})
+                taken.update(reply["names"])
+                done.update(group)
+        with self._oplock:
+            self._routed(attempt)
         return [name for name in names if name in taken]
 
     def release(self, machine_name: str, pool_name: str) -> None:
@@ -1051,23 +1028,17 @@ class ShardServiceClient:
         (test and re-seed tooling; rows are pre-routed per shard under
         the current table and re-grouped if it moves mid-call)."""
         records = list(records)
+
+        def attempt(state: _RouteState) -> None:
+            """Group the rows by shard under this table and fan out."""
+            groups: List[List[List[Any]]] = [[] for _ in state.conns]
+            for record in records:
+                groups[state.table.shard_of(
+                    record.machine_name)].append(record.to_row())
+            self._fan_out_once(
+                state, lambda i: {"kind": "reset", "rows": groups[i]})
         with self._oplock:
-            for _ in range(self._MAX_ROUTE_RETRIES):
-                state = self._route
-                groups: List[List[List[Any]]] = [[] for _ in state.conns]
-                for record in records:
-                    groups[state.table.shard_of(
-                        record.machine_name)].append(record.to_row())
-                try:
-                    self._fan_out_once(
-                        state, lambda i: {"kind": "reset", "rows": groups[i]})
-                    break
-                except StaleRoutingError as exc:
-                    self._refresh_routing(exc)
-            else:
-                raise StaleRoutingError(
-                    f"routing kept moving: {self._MAX_ROUTE_RETRIES} "
-                    "epoch bumps during one reset")
+            self._routed(attempt)
             self._subscriptions.clear()
 
     def shutdown_workers(self) -> None:
@@ -1129,13 +1100,6 @@ class ShardServiceClient:
                 f"endpoints={self.endpoints})")
 
 
-#: The advertised alias: read it as "a sharded white-pages database
-#: whose shards happen to live in other processes".
-RemoteShardedDatabase = ShardServiceClient
-
-
-
-
 # ---------------------------------------------------------------------------
 # Supervisor: spawn / health-check / restart with snapshot recovery
 # ---------------------------------------------------------------------------
@@ -1156,10 +1120,6 @@ class ShardSupervisor:
         Initial fleet.  Seeded via per-shard snapshot files — workers
         cold-start from disk in parallel instead of replaying one
         ``register`` round trip per record.
-    start_method:
-        ``multiprocessing`` start method (default: ``forkserver``-free
-        choice — ``fork`` where available for fast spawn, else
-        ``spawn``; the worker entry point is spawn-safe either way).
     columnar:
         Column-kernel tri-state handed to every worker (``None`` =
         follow the snapshot version; ``True`` = vectorized matching in
@@ -1198,7 +1158,6 @@ class ShardSupervisor:
     def __init__(self, shards: int, *, host: str = "127.0.0.1",
                  snapshot_dir: Optional[Union[str, Path]] = None,
                  records: Iterable[MachineRecord] = (),
-                 start_method: Optional[str] = None,
                  columnar: Optional[bool] = None,
                  wal: str = "off", wal_interval: float = 0.0,
                  telemetry: bool = True,
@@ -1228,11 +1187,11 @@ class ShardSupervisor:
         #: shard's slow-op JSONL beside its WAL (see :mod:`repro.obs`).
         self.telemetry = bool(telemetry)
         self.slow_op_threshold = float(slow_op_threshold)
-        if start_method is None:
-            start_method = ("fork" if "fork"
-                            in multiprocessing.get_all_start_methods()
-                            else "spawn")
-        self._ctx = multiprocessing.get_context(start_method)
+        # ``fork`` where available for fast spawn, else ``spawn``; the
+        # worker entry point is spawn-safe either way.
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn")
         self._dir = Path(snapshot_dir) if snapshot_dir is not None else None
         self._seed_records = list(records)
         self._processes: List[Optional[Any]] = [None] * shards
@@ -1379,9 +1338,10 @@ class ShardSupervisor:
         supervisor's bookkeeping.  Without an explicit ``slow_op_path``
         the worker derives one beside its WAL (migration targets get
         theirs that way)."""
+        from repro.runtime.shard_worker import run_shard_worker
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
-            target=_supervised_worker_main,
+            target=run_shard_worker,
             args=(shard_index, shards, self.host, port,
                   snapshot_path, child_conn,
                   self.columnar, self.wal, wal_path,
@@ -1685,23 +1645,3 @@ class ShardSupervisor:
                 f"cannot merge {self.shards} shards by factor {factor}")
         return self.rebalance(self.shards // factor, **kwargs)
 
-
-def _supervised_worker_main(shard_index: int, shards: int, host: str,
-                            port: int, snapshot_path: Optional[str],
-                            ready_conn: Any,
-                            columnar: Optional[bool] = None,
-                            wal_mode: str = "off",
-                            wal_path: Optional[str] = None,
-                            wal_interval: float = 0.0,
-                            epoch: int = 0,
-                            telemetry: bool = True,
-                            slow_op_threshold: float = 0.25,
-                            slow_op_path: Optional[str] = None) -> None:
-    """Picklable process target (spawn-safe import path)."""
-    from repro.runtime.shard_worker import run_shard_worker
-    run_shard_worker(shard_index, shards, host, port, snapshot_path,
-                     ready_conn, columnar=columnar, wal_mode=wal_mode,
-                     wal_path=wal_path, wal_interval=wal_interval,
-                     epoch=epoch, telemetry=telemetry,
-                     slow_op_threshold=slow_op_threshold,
-                     slow_op_path=slow_op_path)

@@ -1,4 +1,5 @@
-"""The asyncio ActYP client."""
+"""The asyncio side of the wire: one request/reply connection, and the
+ActYP client built on it."""
 
 from __future__ import annotations
 
@@ -8,15 +9,18 @@ from typing import Any, Dict, Optional, Union
 from repro.errors import RuntimeProtocolError
 from repro.runtime.protocol import read_frame, write_frame
 
-__all__ = ["ActYPClient"]
+__all__ = ["FrameConnection", "ActYPClient"]
 
 
-class ActYPClient:
-    """A persistent connection to an :class:`~repro.runtime.server.ActYPServer`.
+class FrameConnection:
+    """A persistent async connection to a
+    :class:`~repro.runtime.protocol.FrameServer`.
 
-    One request is in flight at a time per client (the protocol has no
-    correlation ids; open several clients for concurrency, as the paper's
-    clients did with parallel connections).
+    One request is in flight at a time (the protocol has no correlation
+    ids; open several connections for concurrency, as the paper's
+    clients did with parallel connections).  The request lock covers the
+    dial as well, so coroutines sharing an unconnected instance open
+    exactly one socket between them.
     """
 
     def __init__(self, host: str, port: int):
@@ -26,11 +30,23 @@ class ActYPClient:
         self._writer: Optional[asyncio.StreamWriter] = None
         self._lock = asyncio.Lock()
 
+    async def _dial(self) -> None:
+        # Caller holds the lock.
+        if self._writer is None:
+            self._reader, self._writer = await asyncio.open_connection(
+                self.host, self.port)
+
     async def connect(self) -> None:
-        if self._writer is not None:
-            return
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port)
+        """Dial now rather than on the first request (idempotent)."""
+        async with self._lock:
+            await self._dial()
+
+    async def request(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """Send one frame and return the server's reply frame."""
+        async with self._lock:
+            await self._dial()
+            await write_frame(self._writer, frame)
+            return await read_frame(self._reader)
 
     async def close(self) -> None:
         if self._writer is not None:
@@ -41,48 +57,42 @@ class ActYPClient:
                 pass
             self._reader = self._writer = None
 
-    async def __aenter__(self) -> "ActYPClient":
+    async def __aenter__(self) -> "FrameConnection":
         await self.connect()
         return self
 
     async def __aexit__(self, *exc_info: Any) -> None:
         await self.close()
 
-    # -- requests -----------------------------------------------------------------
 
-    async def _roundtrip(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        await self.connect()
-        assert self._reader is not None and self._writer is not None
-        async with self._lock:
-            await write_frame(self._writer, frame)
-            return await read_frame(self._reader)
+class ActYPClient(FrameConnection):
+    """The three verbs of an :class:`~repro.runtime.server.ActYPServer`."""
+
+    async def _expect(self, kind: str, frame: Dict[str, Any]
+                      ) -> Dict[str, Any]:
+        response = await self.request(frame)
+        if response.get("kind") != kind:
+            raise RuntimeProtocolError(
+                response.get("message", f"{frame['kind']} failed"))
+        return response
 
     async def query(self, payload: Union[str, Dict[str, str]],
                     *, format_name: str = "punch",
                     origin: str = "client") -> Dict[str, Any]:
         """Submit a query; returns the result frame (raises on protocol
         errors, returns ``ok: False`` results as data)."""
-        response = await self._roundtrip({
+        return await self._expect("result", {
             "kind": "query",
             "payload": payload,
             "format": format_name,
             "origin": origin,
         })
-        if response.get("kind") == "error":
-            raise RuntimeProtocolError(response.get("message", "error"))
-        return response
 
     async def release(self, access_key: str) -> None:
-        response = await self._roundtrip({
+        await self._expect("released", {
             "kind": "release",
             "access_key": access_key,
         })
-        if response.get("kind") != "released":
-            raise RuntimeProtocolError(
-                response.get("message", "release failed"))
 
     async def stats(self) -> Dict[str, Any]:
-        response = await self._roundtrip({"kind": "stats"})
-        if response.get("kind") != "stats":
-            raise RuntimeProtocolError(response.get("message", "stats failed"))
-        return response
+        return await self._expect("stats", {"kind": "stats"})

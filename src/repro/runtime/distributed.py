@@ -21,7 +21,6 @@ TCP when they cannot satisfy a query locally.
 from __future__ import annotations
 
 import asyncio
-import logging
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -34,14 +33,15 @@ from repro.core.pool_manager import (
     RouteFailed,
     RouteToPool,
 )
-from repro.core.query import Query, QueryResult
+from repro.core.query import QueryResult
 from repro.core.query_manager import QueryManager
 from repro.core.resource_pool import ResourcePool
 from repro.database.directory import LocalDirectoryService
 from repro.database.whitepages import WhitePagesDatabase
-from repro.errors import NoResourceAvailableError, ReproError, RuntimeProtocolError
+from repro.errors import NoResourceAvailableError, RuntimeProtocolError
 from repro.net.address import Endpoint
-from repro.runtime.protocol import read_frame, write_frame
+from repro.runtime.client import FrameConnection
+from repro.runtime.protocol import FrameServer
 from repro.runtime.wire import (
     query_from_dict,
     query_to_dict,
@@ -51,81 +51,22 @@ from repro.runtime.wire import (
 
 __all__ = ["DistributedActYP"]
 
-logger = logging.getLogger(__name__)
-
-_LOOP_TIME_ORIGIN = 0.0
-
-
 async def _call(host: str, port: int, frame: Dict[str, Any]
                 ) -> Dict[str, Any]:
     """One request/response over a fresh connection."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        await write_frame(writer, frame)
-        return await read_frame(reader)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except ConnectionError:  # pragma: no cover - platform dependent
-            pass
+    async with FrameConnection(host, port) as connection:
+        return await connection.request(frame)
 
 
-class _FrameServer:
-    """Shared skeleton: accept connections, dispatch frames."""
-
-    def __init__(self, host: str = "127.0.0.1"):
-        self.host = host
-        self._server: Optional[asyncio.AbstractServer] = None
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(self._on_connect,
-                                                  self.host, 0)
-
-    @property
-    def port(self) -> int:
-        if self._server is None or not self._server.sockets:
-            raise RuntimeProtocolError("server not listening")
-        return self._server.sockets[0].getsockname()[1]
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def _on_connect(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    frame = await read_frame(reader)
-                except asyncio.IncompleteReadError:
-                    break
-                response = await self.dispatch(frame)
-                await write_frame(writer, response)
-        except RuntimeProtocolError as exc:
-            logger.warning("%s: protocol error: %s", type(self).__name__, exc)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover
-                pass
-
-    async def dispatch(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        raise NotImplementedError
-
-
-class DistributedPoolServer(_FrameServer):
+class DistributedPoolServer(FrameServer):
     """One resource-pool instance listening on its own port."""
 
-    def __init__(self, pool: ResourcePool, host: str = "127.0.0.1"):
-        super().__init__(host)
+    def __init__(self, pool: ResourcePool):
+        super().__init__()
         self.pool = pool
 
     async def dispatch(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        kind = frame.get("kind")
+        kind = frame["kind"]
         if kind == "allocate":
             query = query_from_dict(frame["query"])
             loop = asyncio.get_running_loop()
@@ -148,27 +89,23 @@ class DistributedPoolServer(_FrameServer):
                 )
             return {"kind": "result", **result_payload_to_dict(result)}
         if kind == "release":
-            try:
-                self.pool.release(str(frame.get("access_key", "")))
-            except NoResourceAvailableError as exc:
-                return {"kind": "error", "message": str(exc)}
+            self.pool.release(str(frame.get("access_key", "")))
             return {"kind": "released"}
-        return {"kind": "error", "message": f"pool got {kind!r}"}
+        raise RuntimeProtocolError(f"pool got {kind!r}")
 
 
-class DistributedPoolManagerServer(_FrameServer):
+class DistributedPoolManagerServer(FrameServer):
     """One pool manager; creates pool servers, delegates over TCP."""
 
-    def __init__(self, manager: PoolManager, owner: "DistributedActYP",
-                 host: str = "127.0.0.1"):
-        super().__init__(host)
+    def __init__(self, manager: PoolManager, owner: "DistributedActYP"):
+        super().__init__()
         self.manager = manager
         self.owner = owner
 
     async def dispatch(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        if frame.get("kind") != "route":
-            return {"kind": "error",
-                    "message": f"pool manager got {frame.get('kind')!r}"}
+        if frame["kind"] != "route":
+            raise RuntimeProtocolError(
+                f"pool manager got {frame['kind']!r}")
         query = query_from_dict(frame["query"])
         loop = asyncio.get_running_loop()
         decision = self.manager.route(query, now=loop.time())
@@ -229,30 +166,25 @@ class DistributedPoolManagerServer(_FrameServer):
         return {"kind": "result", **result_payload_to_dict(failed)}
 
 
-class DistributedQueryManagerServer(_FrameServer):
+class DistributedQueryManagerServer(FrameServer):
     """The client-facing stage: translate, decompose, dispatch, reintegrate."""
 
-    def __init__(self, manager: QueryManager, host: str = "127.0.0.1",
-                 release_hook=None):
-        super().__init__(host)
+    def __init__(self, manager: QueryManager, release_hook=None):
+        super().__init__()
         self.manager = manager
         #: Async callable(allocation) used to return redundant fan-out
         #: allocations; set by the deployment builder.
         self.release_hook = release_hook
 
     async def dispatch(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        if frame.get("kind") != "query":
-            return {"kind": "error",
-                    "message": f"query manager got {frame.get('kind')!r}"}
-        payload = frame.get("payload")
-        loop = asyncio.get_running_loop()
-        try:
-            query_id, dispatches = self.manager.admit(
-                payload, format_name=frame.get("format", "punch"),
-                origin=str(frame.get("origin", "tcp")), now=loop.time(),
-            )
-        except ReproError as exc:
-            return {"kind": "error", "message": str(exc)}
+        if frame["kind"] != "query":
+            raise RuntimeProtocolError(
+                f"query manager got {frame['kind']!r}")
+        query_id, dispatches = self.manager.admit(
+            frame["payload"], format_name=frame.get("format", "punch"),
+            origin=str(frame.get("origin", "tcp")),
+            now=asyncio.get_running_loop().time(),
+        )
 
         async def run_component(dispatch) -> Optional[QueryResult]:
             reply = await _call(
@@ -321,8 +253,8 @@ class DistributedActYP:
                 rng=np.random.default_rng(self._seed * 100 + i),
                 pool_endpoint_allocator=self._unresolved_endpoint,
             )
-            server = DistributedPoolManagerServer(manager, self, self.host)
-            await server.start()
+            server = DistributedPoolManagerServer(manager, self)
+            await server.start(self.host)
             ep = Endpoint(self.host, server.port, "live")
             # The manager's name doubles as its visited-list identity; the
             # directory needs the *resolved* endpoint for peering.
@@ -342,8 +274,8 @@ class DistributedActYP:
             rng=np.random.default_rng(self._seed + 999),
         )
         self.qm_server = DistributedQueryManagerServer(
-            qm, self.host, release_hook=self.release_allocation)
-        await self.qm_server.start()
+            qm, release_hook=self.release_allocation)
+        await self.qm_server.start(self.host)
         self._started = True
 
     def _unresolved_endpoint(self, name, instance) -> Endpoint:
@@ -365,8 +297,8 @@ class DistributedActYP:
                 key = (pool.name.full, pool.instance_number)
                 if key in self._pool_servers:
                     continue
-                server = DistributedPoolServer(pool, self.host)
-                await server.start()
+                server = DistributedPoolServer(pool)
+                await server.start(self.host)
                 self._pool_servers[key] = server
                 # Re-register with the resolved endpoint.
                 self.directory.deregister(dir_name, instance)

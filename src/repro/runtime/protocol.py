@@ -7,7 +7,11 @@ an object with a ``kind`` plus kind-specific fields:
 - request  ``{"kind": "release", "access_key": <hex>}``
 - request  ``{"kind": "stats"}``
 - response ``{"kind": "result", "ok": true, "allocation": {...}}``
-- response ``{"kind": "error", "message": <text>}``
+- response ``{"kind": "error", "error": <exception class>,
+  "message": <text>}`` — the one error shape every server sends
+  (:func:`error_frame`); a client re-raises the named
+  :mod:`repro.errors` class, or ``RuntimeProtocolError`` when it does
+  not know the name
 
 The protocol is deliberately simple — the paper's pipeline moved queries
 as key-value text over TCP/UDP; JSON is the 2020s equivalent.
@@ -31,18 +35,29 @@ The async helpers (:func:`read_frame` / :func:`write_frame`) serve the
 asyncio runtime; the ``_sock`` variants speak the identical encoding
 over blocking sockets for synchronous callers (the shard-service client
 is called from pool/scheduler code that is not async).
+
+The frame server
+----------------
+In the paper every pipeline stage is the same kind of object: a process
+that "initializes itself and listens to a specified port" (Section
+5.2.3) and answers one request per connection turn.  :class:`FrameServer`
+is that object, written once: listener lifecycle, the accept loop, the
+error crossing, and connection drain.  The ActYP front end, the three
+distributed stage servers and the shard worker subclass it and say only
+what a request means.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import socket
 import struct
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.core.query import Allocation, QueryResult
-from repro.errors import RuntimeProtocolError
+from repro.errors import ReproError, RuntimeProtocolError
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -54,6 +69,9 @@ __all__ = [
     "write_frame",
     "read_frame_sock",
     "write_frame_sock",
+    "HANDLER_ERRORS",
+    "error_frame",
+    "FrameServer",
     "result_to_dict",
     "allocation_to_dict",
 ]
@@ -66,6 +84,8 @@ MAX_FRAME_BYTES = 1 << 20
 #: full-shard match result or snapshot at million-record fleets, small
 #: enough that a hostile length prefix cannot exhaust memory.
 MAX_MESSAGE_BYTES = 1 << 30
+
+logger = logging.getLogger(__name__)
 
 _LEN = struct.Struct(">I")
 #: High bit of the length prefix: "another chunk of this message
@@ -198,6 +218,138 @@ def read_frame_sock(sock: socket.socket) -> Dict[str, Any]:
 def write_frame_sock(sock: socket.socket, obj: Dict[str, Any]) -> None:
     """Blocking write of one logical message to ``sock``."""
     sock.sendall(encode_message(obj))
+
+
+# -- the frame server --------------------------------------------------------
+
+#: What a request handler may raise and have answered with an error
+#: frame instead of a dead connection: the library's own errors, and
+#: the lookups and conversions that fail on a request that is missing
+#: or mistyping a field.
+HANDLER_ERRORS = (ReproError, KeyError, TypeError, ValueError)
+
+
+def error_frame(exc: BaseException, kind: Any = None) -> Dict[str, Any]:
+    """The error reply for ``exc``, raised while handling a ``kind``
+    request.  A :class:`~repro.errors.ReproError` crosses the wire under
+    its own class name; anything else in :data:`HANDLER_ERRORS` means
+    the request body itself was malformed."""
+    if not isinstance(exc, ReproError):
+        exc = RuntimeProtocolError(f"malformed {kind!r} request: {exc}")
+    return {"kind": "error", "error": type(exc).__name__,
+            "message": str(exc)}
+
+
+class FrameServer:
+    """One listening port answering one request frame per connection turn.
+
+    A subclass overrides :meth:`dispatch` — what a request means.  A
+    server whose turn is more than read → dispatch → reply (the shard
+    worker clocks the verb, commits its op log and may be told to crash
+    mid-reply) overrides :meth:`serve_frame` instead.  Nothing else is a
+    hook: lifecycle, the accept loop, the error crossing and connection
+    drain are the same for every server.
+    """
+
+    def __init__(self) -> None:
+        self._server: Optional[asyncio.AbstractServer] = None
+        #: Live connections (handler task -> its writer), so stop() can
+        #: close them and let the handlers leave through the clean-EOF
+        #: path instead of loop teardown cancelling mid-read tasks
+        #: (which asyncio logs noisily).
+        self._live: Dict[Any, asyncio.StreamWriter] = {}
+        #: Connections accepted since construction.
+        self.connections = 0
+
+    # -- lifecycle -----------------------------------------------------------
+
+    async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
+        """Bind the endpoint and begin accepting (``port=0`` picks a
+        free port; read it back from :attr:`port`).  Raises
+        ``RuntimeProtocolError`` if already started."""
+        if self._server is not None:
+            raise RuntimeProtocolError(
+                f"{type(self).__name__} already started")
+        self._server = await asyncio.start_server(self._on_connect,
+                                                  host, port)
+
+    @property
+    def port(self) -> int:
+        """The bound TCP port (raises ``RuntimeProtocolError`` before
+        :meth:`start`)."""
+        if self._server is None or not self._server.sockets:
+            raise RuntimeProtocolError(
+                f"{type(self).__name__} is not listening")
+        return self._server.sockets[0].getsockname()[1]
+
+    async def stop(self) -> None:
+        """Close the listener, then close every live connection and
+        wait for its handler to finish — after ``stop()`` returns no
+        task of this server is left for loop teardown to cancel."""
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        for writer in list(self._live.values()):
+            writer.close()
+        if self._live:
+            await asyncio.gather(*list(self._live), return_exceptions=True)
+        if server is not None:
+            await server.wait_closed()
+
+    async def __aenter__(self) -> "FrameServer":
+        await self.start()
+        return self
+
+    async def __aexit__(self, *exc_info: Any) -> None:
+        await self.stop()
+
+    # -- connection handling -------------------------------------------------
+
+    async def _on_connect(self, reader: asyncio.StreamReader,
+                          writer: asyncio.StreamWriter) -> None:
+        self.connections += 1
+        task = asyncio.current_task()
+        self._live[task] = writer
+        try:
+            while await self.serve_frame(reader, writer):
+                pass
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass  # the peer hung up; there is nobody to answer
+        except RuntimeProtocolError as exc:
+            # The decoder refused the bytes: say why, then hang up —
+            # the stream position is lost, so no later frame is safe.
+            logger.warning("%s: protocol error from %s: %s",
+                           type(self).__name__,
+                           writer.get_extra_info("peername"), exc)
+            try:
+                await write_frame(writer, error_frame(exc))
+            except (ConnectionError, RuntimeError):
+                pass
+        finally:
+            del self._live[task]
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except ConnectionError:  # pragma: no cover - platform dependent
+                pass
+
+    async def serve_frame(self, reader: asyncio.StreamReader,
+                          writer: asyncio.StreamWriter) -> bool:
+        """One connection turn: read a request, write its reply.
+        Returns ``False`` to end the connection after this reply."""
+        frame = await read_frame(reader)
+        try:
+            reply = await self.dispatch(frame)
+        except HANDLER_ERRORS as exc:
+            reply = error_frame(exc, frame["kind"])
+        await write_frame(writer, reply)
+        return True
+
+    async def dispatch(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """The reply to one request frame.  Raising one of
+        :data:`HANDLER_ERRORS` answers with :func:`error_frame` and
+        keeps the connection open."""
+        raise NotImplementedError
 
 
 def allocation_to_dict(allocation: Allocation) -> Dict[str, Any]:

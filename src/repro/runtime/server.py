@@ -3,133 +3,56 @@
 Wraps an :class:`~repro.core.pipeline.ActYPService` behind a TCP endpoint
 speaking the frame protocol.  Pipeline calls are synchronous and fast
 (micro/milliseconds) — pool-creation walks run as compiled plans over
-the white pages' attribute indexes, not linear scans — and they run on
-the event loop directly, with a configurable thread offload for
-deployments whose databases grow large enough for even indexed
-matchmaking (or huge pool caches) to block the loop.
+the white pages' attribute indexes, not linear scans — so they run on
+the event loop directly.  Listening, the accept loop, error frames and
+connection drain are :class:`~repro.runtime.protocol.FrameServer`'s.
 """
 
 from __future__ import annotations
 
 import asyncio
-import logging
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.core.pipeline import ActYPService
-from repro.errors import ReproError, RuntimeProtocolError
-from repro.runtime.protocol import read_frame, result_to_dict, write_frame
+from repro.errors import RuntimeProtocolError
+from repro.runtime.protocol import FrameServer, result_to_dict
 
 __all__ = ["ActYPServer"]
 
-logger = logging.getLogger(__name__)
 
-
-class ActYPServer:
+class ActYPServer(FrameServer):
     """One TCP endpoint in front of a pipeline deployment."""
 
-    def __init__(self, service: ActYPService, *, offload_threshold: int = 0):
+    def __init__(self, service: ActYPService):
+        super().__init__()
         self.service = service
-        #: Database size beyond which pipeline calls run in a worker
-        #: thread instead of on the event loop (0 = always on the loop).
-        self.offload_threshold = offload_threshold
-        self._server: Optional[asyncio.AbstractServer] = None
-        self.connections = 0
         self.requests = 0
 
-    # -- lifecycle ---------------------------------------------------------------
-
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        if self._server is not None:
-            raise RuntimeProtocolError("server already started")
-        self._server = await asyncio.start_server(self._on_connect, host, port)
-
-    @property
-    def port(self) -> int:
-        if self._server is None or not self._server.sockets:
-            raise RuntimeProtocolError("server is not listening")
-        return self._server.sockets[0].getsockname()[1]
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def __aenter__(self) -> "ActYPServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.stop()
-
-    # -- connection handling ----------------------------------------------------------
-
-    async def _on_connect(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-        self.connections += 1
-        peer = writer.get_extra_info("peername")
-        try:
-            while True:
-                try:
-                    frame = await read_frame(reader)
-                except asyncio.IncompleteReadError:
-                    break  # clean disconnect
-                response = await self._dispatch(frame)
-                await write_frame(writer, response)
-        except RuntimeProtocolError as exc:
-            logger.warning("protocol error from %s: %s", peer, exc)
-            try:
-                await write_frame(writer, {"kind": "error",
-                                           "message": str(exc)})
-            except (ConnectionError, RuntimeError):
-                pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover - platform dependent
-                pass
-
-    async def _dispatch(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+    async def dispatch(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         self.requests += 1
-        kind = frame.get("kind")
+        kind = frame["kind"]
         if kind == "query":
-            return await self._handle_query(frame)
+            return self._handle_query(frame)
         if kind == "release":
-            return await self._handle_release(frame)
+            return self._handle_release(frame)
         if kind == "stats":
             return {"kind": "stats", **self.service.stats()}
-        return {"kind": "error", "message": f"unknown request kind {kind!r}"}
+        raise RuntimeProtocolError(f"unknown request kind {kind!r}")
 
-    async def _call(self, fn, *args, **kwargs):
-        if (self.offload_threshold
-                and len(self.service.database) >= self.offload_threshold):
-            return await asyncio.to_thread(fn, *args, **kwargs)
-        return fn(*args, **kwargs)
-
-    async def _handle_query(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle_query(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         payload = frame.get("payload")
         if not isinstance(payload, (str, dict)):
-            return {"kind": "error", "message": "query needs a payload"}
-        format_name = frame.get("format", "punch")
-        loop = asyncio.get_running_loop()
-        try:
-            result = await self._call(
-                self.service.submit, payload,
-                format_name=format_name,
-                origin=str(frame.get("origin", "tcp")),
-                now=loop.time(),
-            )
-        except ReproError as exc:
-            return {"kind": "error", "message": str(exc)}
-        return result_to_dict(result)
+            raise RuntimeProtocolError("query needs a payload")
+        return result_to_dict(self.service.submit(
+            payload,
+            format_name=frame.get("format", "punch"),
+            origin=str(frame.get("origin", "tcp")),
+            now=asyncio.get_running_loop().time(),
+        ))
 
-    async def _handle_release(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle_release(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         access_key = frame.get("access_key")
         if not isinstance(access_key, str):
-            return {"kind": "error", "message": "release needs access_key"}
-        try:
-            await self._call(self.service.release, access_key)
-        except ReproError as exc:
-            return {"kind": "error", "message": str(exc)}
+            raise RuntimeProtocolError("release needs access_key")
+        self.service.release(access_key)
         return {"kind": "released", "access_key": access_key}

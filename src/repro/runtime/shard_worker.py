@@ -130,13 +130,19 @@ from repro.database.whitepages import WhitePagesDatabase
 from repro.errors import (
     ConfigError,
     DatabaseError,
-    ReproError,
     RuntimeProtocolError,
+    StaleRoutingError,
 )
 from repro.obs.telemetry import MetricsRegistry
 from repro.obs.tracing import SpanRecorder
 from repro.runtime import faults
-from repro.runtime.protocol import encode_message, read_frame, write_frame
+from repro.runtime.protocol import (
+    HANDLER_ERRORS,
+    FrameServer,
+    encode_message,
+    error_frame,
+    read_frame,
+)
 from repro.runtime.wire import clause_from_dict, clause_to_dict
 
 __all__ = [
@@ -234,7 +240,7 @@ def clauses_from_wire(data: Optional[List[Dict[str, Any]]]) -> Any:
     return [clause_from_dict(c) for c in data]
 
 
-class ShardWorker:
+class ShardWorker(FrameServer):
     """One live shard behind a TCP endpoint.
 
     Parameters
@@ -278,6 +284,7 @@ class ShardWorker:
         if not 0 <= shard_index < shards:
             raise DatabaseError(
                 f"shard index {shard_index} outside 0..{shards - 1}")
+        super().__init__()
         self.database = database if database is not None \
             else WhitePagesDatabase()
         self.shard_index = shard_index
@@ -297,16 +304,10 @@ class ShardWorker:
         self._wal_pinned = False
         self.requests = 0
         self.started_at = time.monotonic()
-        self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()
         #: The in-flight group-commit sync, shared by every handler
         #: whose op is waiting to become durable.
         self._sync_task: Optional[asyncio.Task] = None
-        #: Live connections, so stop() can close them instead of
-        #: letting loop teardown cancel mid-read tasks (which asyncio
-        #: 3.11 logs noisily).
-        self._writers: set = set()
-        self._conn_tasks: set = set()
         #: Per-verb latency histograms, WAL append/fsync timings, reply
         #: bytes, and error-class counters (see :mod:`repro.obs`).
         self.metrics = MetricsRegistry(enabled=telemetry)
@@ -320,39 +321,11 @@ class ShardWorker:
 
     # -- lifecycle -----------------------------------------------------------
 
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        """Bind the worker's TCP endpoint and begin accepting
-        connections (``port=0`` picks a free port; read it back from
-        :attr:`port`).  Raises ``RuntimeProtocolError`` if already
-        started."""
-        if self._server is not None:
-            raise RuntimeProtocolError("shard worker already started")
-        self._server = await asyncio.start_server(self._on_connect,
-                                                  host, port)
-
-    @property
-    def port(self) -> int:
-        """The bound TCP port (raises ``RuntimeProtocolError`` before
-        :meth:`start`)."""
-        if self._server is None or not self._server.sockets:
-            raise RuntimeProtocolError("shard worker is not listening")
-        return self._server.sockets[0].getsockname()[1]
-
     async def stop(self) -> None:
         """Close the listener, drain live connections, and flush/close
         the op log — the graceful-shutdown path (a clean stop is
         replay-free)."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Close surviving connections and let their handler tasks exit
-        # through the clean-EOF path before the loop tears down.
-        for writer in list(self._writers):
-            writer.close()
-        if self._conn_tasks:
-            await asyncio.gather(*list(self._conn_tasks),
-                                 return_exceptions=True)
+        await super().stop()
         # Graceful shutdown flushes and closes the op log: no dangling
         # fd, no unsynced tail — a clean stop is replay-free.
         if self.wal is not None and not self.wal.closed:
@@ -368,68 +341,36 @@ class ShardWorker:
         await self._shutdown.wait()
         await self.stop()
 
-    async def __aenter__(self) -> "ShardWorker":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.stop()
-
     # -- connection handling -------------------------------------------------
 
-    async def _on_connect(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-        peer = writer.get_extra_info("peername")
-        task = asyncio.current_task()
-        self._writers.add(writer)
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            while True:
-                try:
-                    frame = await read_frame(reader)
-                except asyncio.IncompleteReadError:
-                    break  # clean disconnect
-                # The verb clock starts here, before the injected
-                # brownout delay and the group-commit wait — so a
-                # DelayInjector on `match` shows up in *this shard's*
-                # match histogram, which is the whole point of
-                # server-side attribution.
-                t0 = time.perf_counter()
-                delay = faults.delay_for(str(frame.get("kind")))
-                if delay > 0:
-                    # Brownout injection: the slow-worker scenario arms
-                    # per-verb delays to measure fan-out head-of-line
-                    # blocking.  The sleep yields, so other connections
-                    # to this worker are delayed only by their own ops.
-                    await asyncio.sleep(delay)
-                response = self._dispatch(frame)
-                response = await self._commit_wal(frame, response)
-                reply_bytes = await self._send_reply(writer, response)
-                if self.metrics.enabled:
-                    self._observe_op(frame, response,
-                                     time.perf_counter() - t0, reply_bytes)
-                if frame.get("kind") == "shutdown":
-                    self._shutdown.set()
-                    break
-        except RuntimeProtocolError as exc:
-            logger.warning("shard %d: protocol error from %s: %s",
-                           self.shard_index, peer, exc)
-            try:
-                await write_frame(writer, {
-                    "kind": "error", "error": "RuntimeProtocolError",
-                    "message": str(exc)})
-            except (ConnectionError, RuntimeError):
-                pass
-        finally:
-            self._writers.discard(writer)
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover - platform dependent
-                pass
+    async def serve_frame(self, reader: asyncio.StreamReader,
+                          writer: asyncio.StreamWriter) -> bool:
+        """One worker turn: clock, dispatch + log, commit, reply,
+        observe — in that order (see the module docstring's durability
+        contract)."""
+        frame = await read_frame(reader)
+        # The verb clock starts here, before the injected brownout
+        # delay and the group-commit wait — so a DelayInjector on
+        # `match` shows up in *this shard's* match histogram, which is
+        # the whole point of server-side attribution.
+        t0 = time.perf_counter()
+        delay = faults.delay_for(str(frame.get("kind")))
+        if delay > 0:
+            # Brownout injection: the slow-worker scenario arms
+            # per-verb delays to measure fan-out head-of-line blocking.
+            # The sleep yields, so other connections to this worker are
+            # delayed only by their own ops.
+            await asyncio.sleep(delay)
+        response = self._dispatch(frame)
+        response = await self._commit_wal(frame, response)
+        reply_bytes = await self._send_reply(writer, response)
+        if self.metrics.enabled:
+            self._observe_op(frame, response,
+                             time.perf_counter() - t0, reply_bytes)
+        if frame.get("kind") == "shutdown":
+            self._shutdown.set()
+            return False
+        return True
 
     # -- durability plumbing ---------------------------------------------------
 
@@ -459,8 +400,7 @@ class ShardWorker:
                     self._sync_task = asyncio.ensure_future(self._run_sync())
                 await self._sync_task
         except DatabaseError as exc:
-            return {"kind": "error", "error": "DatabaseError",
-                    "message": f"wal sync failed: {exc}"}
+            return error_frame(DatabaseError(f"wal sync failed: {exc}"))
         return response
 
     async def _run_sync(self) -> None:
@@ -520,9 +460,7 @@ class ShardWorker:
     def _stale_routing(self, message: str) -> Dict[str, Any]:
         """An error frame that carries the worker's routing table (when
         known) so the refused client can refresh in one round trip."""
-        reply: Dict[str, Any] = {"kind": "error",
-                                 "error": "StaleRoutingError",
-                                 "message": message}
+        reply = error_frame(StaleRoutingError(message))
         if self.routing is not None:
             reply["routing"] = self.routing
         return reply
@@ -532,8 +470,8 @@ class ShardWorker:
         kind = frame.get("kind")
         handler = getattr(self, f"_verb_{kind}", None)
         if handler is None:
-            return {"kind": "error", "error": "RuntimeProtocolError",
-                    "message": f"unknown shard verb {kind!r}"}
+            return error_frame(
+                RuntimeProtocolError(f"unknown shard verb {kind!r}"))
         if self.retired and kind not in _RETIRED_VERBS:
             return self._stale_routing(
                 f"shard {self.shard_index} (epoch {self.epoch}) is "
@@ -542,20 +480,16 @@ class ShardWorker:
             try:
                 frame_epoch = int(frame["epoch"])
             except (TypeError, ValueError):
-                return {"kind": "error", "error": "RuntimeProtocolError",
-                        "message": f"malformed epoch {frame['epoch']!r}"}
+                return error_frame(RuntimeProtocolError(
+                    f"malformed epoch {frame['epoch']!r}"))
             if frame_epoch != self.epoch:
                 return self._stale_routing(
                     f"op stamped epoch {frame_epoch}, worker serves "
                     f"epoch {self.epoch}")
         try:
             response = handler(frame)
-        except ReproError as exc:
-            return {"kind": "error", "error": type(exc).__name__,
-                    "message": str(exc)}
-        except (KeyError, TypeError, ValueError) as exc:
-            return {"kind": "error", "error": "RuntimeProtocolError",
-                    "message": f"malformed {kind!r} request: {exc}"}
+        except HANDLER_ERRORS as exc:
+            return error_frame(exc, kind)
         if self.wal is not None and kind in MUTATING_VERBS:
             # Apply-then-log: the handler validated and applied the op,
             # so the log records only mutations that really happened.
@@ -568,8 +502,7 @@ class ShardWorker:
                                      time.perf_counter() - t0)
             except DatabaseError as exc:
                 logger.error("shard %d: %s", self.shard_index, exc)
-                return {"kind": "error", "error": "DatabaseError",
-                        "message": str(exc)}
+                return error_frame(exc)
         return response
 
     def replay(self, entries: Any, watermark: int = 0) -> int:
@@ -594,7 +527,7 @@ class ShardWorker:
             handler = getattr(self, f"_verb_{kind}")
             try:
                 handler(frame)
-            except (ReproError, KeyError, TypeError, ValueError) as exc:
+            except HANDLER_ERRORS as exc:
                 raise DatabaseError(
                     f"wal replay diverged at lsn {lsn} ({kind}): "
                     f"{exc}") from exc

@@ -16,6 +16,7 @@ from repro.runtime.protocol import (
     encode_frame,
 )
 from repro.runtime.server import ActYPServer
+from tests.wire_contract import WireContract
 
 
 def run(coro):
@@ -119,32 +120,19 @@ class TestServerClient:
                 assert service.stats()["completed"] == 40
         run(scenario())
 
-    def test_unknown_request_kind(self, service):
+    def test_concurrent_first_use_opens_one_connection(self, service):
+        """Two coroutines racing the first request on an unconnected
+        client share one dial (the request lock covers it)."""
         async def scenario():
             async with ActYPServer(service) as server:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port)
-                writer.write(encode_frame({"kind": "dance"}))
-                await writer.drain()
-                from repro.runtime.protocol import read_frame
-                response = await read_frame(reader)
-                assert response["kind"] == "error"
-                writer.close()
-                await writer.wait_closed()
-        run(scenario())
-
-    def test_thread_offload_mode(self, service):
-        async def scenario():
-            server = ActYPServer(service, offload_threshold=1)
-            await server.start()
-            try:
-                async with ActYPClient("127.0.0.1", server.port) as client:
-                    result = await client.query(SUN_QUERY)
-                    assert result["ok"] is True
-                    await client.release(
-                        result["allocation"]["access_key"])
-            finally:
-                await server.stop()
+                client = ActYPClient("127.0.0.1", server.port)
+                try:
+                    first, second = await asyncio.gather(client.stats(),
+                                                         client.stats())
+                finally:
+                    await client.close()
+                assert first["kind"] == second["kind"] == "stats"
+                assert server.connections == 1
         run(scenario())
 
     def test_double_start_rejected(self, service):
@@ -153,3 +141,14 @@ class TestServerClient:
                 with pytest.raises(RuntimeProtocolError):
                     await server.start()
         run(scenario())
+
+
+class TestWireContract(WireContract):
+    """The shared abuse table against the ActYP front end."""
+
+    probe = ({"kind": "stats"}, "stats")
+    bodyless = "query"
+
+    def serving(self):
+        db, _ = build_database(FleetSpec(size=20, seed=3))
+        return ActYPServer(build_service(db))

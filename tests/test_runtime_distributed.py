@@ -8,6 +8,7 @@ serialisation round trips.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.runtime.wire import (
     result_payload_from_dict,
     result_payload_to_dict,
 )
+from tests.wire_contract import WireContract
 
 
 def run(coro):
@@ -174,3 +176,20 @@ class TestDistributedDeployment:
             finally:
                 await dist.stop()
         run(scenario())
+
+
+class TestWireContract(WireContract):
+    """The shared abuse table against a stage server (the pool manager:
+    a bare ``route`` frame used to kill its connection)."""
+
+    probe = ({"kind": "route", "query": query_to_dict(
+        parse_query("punch.rsrc.arch = sun").basic().with_identity(
+            query_id=1, origin="contract", submitted_at=0.0,
+            component_index=0, component_count=1, ttl=2))}, "result")
+    bodyless = "route"
+
+    @contextlib.asynccontextmanager
+    async def serving(self):
+        db, _ = build_database(FleetSpec(size=40, seed=3))
+        async with DistributedActYP(db) as dist:
+            yield dist.pm_servers[0]

@@ -17,7 +17,6 @@ crash/restart recovery from per-shard v3 checkpoints.
 from __future__ import annotations
 
 import asyncio
-import json
 import random
 import socket
 import struct
@@ -58,8 +57,9 @@ from repro.runtime.protocol import (
     encode_frame,
     encode_message,
     read_frame_sock,
-    write_frame_sock,
 )
+from repro.runtime.shard_worker import ShardWorker
+from tests.wire_contract import WireContract
 
 SHARD_COUNTS = (1, 2, 8)
 
@@ -340,46 +340,19 @@ def _apply_silent(db, op) -> None:
 # ---------------------------------------------------------------------------
 
 
-class TestProtocolErrorPaths:
+class TestProtocolErrorPaths(WireContract):
+    """The shared abuse table against a shard worker, plus the error
+    paths only the shard tier has."""
+
+    probe = ({"kind": "health"}, "health")
+    bodyless = "register"
+
+    def serving(self):
+        return ShardWorker()
+
     def _raw_socket(self, services):
         host, port = services[1].endpoints[0]
         return socket.create_connection((host, port), timeout=10)
-
-    def test_oversized_announced_frame_is_rejected(self, services):
-        with self._raw_socket(services) as sock:
-            sock.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1) + b"x")
-            reply = read_frame_sock(sock)
-            assert reply["kind"] == "error"
-            assert "exceeds limit" in reply["message"]
-
-    def test_malformed_json_is_rejected(self, services):
-        with self._raw_socket(services) as sock:
-            body = b"this is not json"
-            sock.sendall(struct.pack(">I", len(body)) + body)
-            reply = read_frame_sock(sock)
-            assert reply["kind"] == "error"
-            assert "malformed" in reply["message"]
-
-    def test_missing_kind_is_rejected(self, services):
-        with self._raw_socket(services) as sock:
-            body = json.dumps({"no": "kind"}).encode()
-            sock.sendall(struct.pack(">I", len(body)) + body)
-            reply = read_frame_sock(sock)
-            assert reply["kind"] == "error"
-            assert "kind" in reply["message"]
-
-    def test_unknown_verb_is_an_error_not_a_hangup(self, services):
-        with self._raw_socket(services) as sock:
-            # "scan" was a verb once; a retired verb is an unknown verb.
-            for verb in ("frobnicate", "scan"):
-                write_frame_sock(sock, {"kind": verb})
-                reply = read_frame_sock(sock)
-                assert reply["kind"] == "error"
-                assert reply["error"] == "RuntimeProtocolError"
-                assert "unknown shard verb" in reply["message"]
-            # Connection survives: next request still answered.
-            write_frame_sock(sock, {"kind": "health"})
-            assert read_frame_sock(sock)["kind"] == "health"
 
     def test_truncated_stream_raises_clean_client_error(self, services):
         """A peer that dies mid-frame surfaces as a protocol error (and
@@ -420,10 +393,6 @@ class TestProtocolErrorPaths:
         with pytest.raises(DatabaseError, match="snapshot write"):
             client.snapshot_shard(0, "/nonexistent-dir/nope/x.json")
         assert client.health()[0]["kind"] == "health"  # conn survives
-
-    def test_worker_stays_healthy_after_protocol_abuse(self, services):
-        client = services[1].client()
-        assert client.health()[0]["kind"] == "health"
 
 
 class TestContinuationFrames:
