@@ -23,15 +23,6 @@ import time
 import pytest
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "scale_gate: wall-clock speedup gate (asserts real-time ratios "
-        "at 100k+ records); excluded from the tier-1 CI job via "
-        "-m 'not scale_gate' and run one-per-entry in the scale-gates "
-        "matrix so a loaded runner cannot mask unit results")
-
-
 def timed_median(fn, *args, repeats=5, **kwargs):
     """Median wall-clock seconds of ``repeats`` calls, plus the last
     result — the shared timing core of the ``test_micro_*_scale.py``

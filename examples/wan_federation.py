@@ -1,17 +1,13 @@
 #!/usr/bin/env python
-"""WAN federation: the full PUNCH stack across administrative domains.
+"""WAN federation: the ActYP pipeline across administrative domains.
 
-Reproduces the paper's deployment story end to end:
+Reproduces the paper's deployment story in two steps:
 
- 1. a user at a web *network desktop* asks to run a tool (Figure 1,
-    event 1),
- 2. the *application management* component parses the input, estimates the
-    run time, and composes an ActYP query (Figure 2),
- 3. the *pipeline* schedules it onto a machine, allocating a shadow
-    account,
- 4. the *virtual file system* mounts the application and data disks,
- 5. the run executes and everything is relinquished, and
- 6. the same workload is replayed on the DES deployment in LAN vs WAN
+ 1. a user's query is scheduled by the *pipeline* onto a machine, which
+    hands out a *shadow account* on it ("machine accounts not explicitly
+    tied to any individual user", Section 2), and the release returns
+    both the machine and the account, and
+ 2. the same workload is replayed on the DES deployment in LAN vs WAN
     configurations (clients local vs across a transatlantic link) to show
     the Figure 4 / Figure 5 contrast.
 
@@ -20,39 +16,29 @@ Run:  python examples/wan_federation.py
 
 from repro.core.pipeline import build_service
 from repro.deploy.simulated import ClientSpec, SimulatedDeployment
-from repro.desktop import NetworkDesktop, UserAccount
 from repro.fleet import FleetSpec, build_database
 
 
-def full_stack_run() -> None:
-    print("=== events 1-6: desktop -> appmgmt -> ActYP -> VFS -> run ===")
+def shadow_account_run() -> None:
+    print("=== query -> ActYP -> shadow account -> release ===")
     database, shadows = build_database(
         FleetSpec(size=300, domain="purdue"), with_shadows=True)
     service = build_service(database, n_pool_managers=2,
                             shadow_registry=shadows)
-    desktop = NetworkDesktop(service)
-    desktop.register_user(UserAccount(
-        "kapadia", access_group="ece",
-        storage_provider="home:storage.hp.com",   # remote data warehouse
-    ))
-
-    session = desktop.run_tool(
-        "kapadia",
-        "carrier_transport",
-        "simulate device=nmos carriers=500000 grid_nodes=20000",
-        preferences={"architecture": "sun", "domain": "purdue"},
-        gui=True,
-    )
-    assert session.state.value == "running", session.failure_reason
-    alloc = session.allocation
+    result = service.submit(
+        "punch.rsrc.arch = sun\n"
+        "punch.rsrc.memory = >=256\n"
+        "punch.user.login = kapadia\n"
+        "punch.user.accessgroup = ece\n")
+    assert result.ok, result.error
+    alloc = result.allocation
+    accounts = shadows.pool_for(alloc.machine_name)
     print(f"user kapadia   -> {alloc.machine_name}")
-    print(f"shadow account : {alloc.shadow_account}")
-    print(f"mounted disks  : "
-          f"{[m.volume for m in desktop.vfs.mounts_on(alloc.machine_name)]}")
-    print(f"display routed : {session.display_route}")
-    desktop.complete_run(session.session_id)
-    print(f"released       : vfs mounts now {desktop.vfs.live_mounts}, "
-          f"machine jobs "
+    print(f"shadow account : {alloc.shadow_account} "
+          f"({accounts.available}/{accounts.capacity} free)")
+    service.release(alloc.access_key)
+    print(f"released       : {accounts.available}/{accounts.capacity} "
+          f"shadow accounts free, machine jobs "
           f"{database.get(alloc.machine_name).active_jobs}\n")
 
 
@@ -79,7 +65,7 @@ def lan_vs_wan() -> None:
 
 
 def main() -> None:
-    full_stack_run()
+    shadow_account_run()
     lan_vs_wan()
 
 

@@ -3,9 +3,9 @@ Architecture for Wide-Area Network Computing* (HPDC 2001).
 
 The package implements the ActYP resource-management pipeline — query
 managers, pool managers, and dynamically aggregated resource pools — plus
-every substrate the paper's PUNCH deployment depends on: the white-pages
-machine database, resource monitoring, shadow accounts, the application
-management component, the network desktop, a simulated network fabric, a
+the substrates the pipeline itself runs on: the white-pages machine
+database (in process, sharded, or a fleet of shard-worker processes),
+resource monitoring, shadow accounts, a simulated network fabric, a
 discrete-event simulation kernel for the controlled experiments of
 Section 7, and an asyncio live runtime.
 
@@ -23,8 +23,8 @@ Quickstart::
     ''')
     print(result.allocation)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every figure.
+See ARCHITECTURE.md for the system inventory and the record of how each
+figure is reproduced.
 """
 
 from repro.config import (

@@ -42,7 +42,11 @@ import sys
 from typing import List, Optional
 
 from repro.fleet import FleetSpec, build_fleet
-from repro.database.persistence import load_database, save_database
+from repro.database.persistence import (
+    atomic_write_text,
+    load_database,
+    save_database,
+)
 from repro.database.records import MachineRecord
 from repro.database.sharding import (
     ShardedWhitePagesDatabase,
@@ -51,6 +55,7 @@ from repro.database.sharding import (
     save_sharded_database,
 )
 from repro.database.whitepages import WhitePagesDatabase
+from repro.errors import ReproError
 
 __all__ = ["main"]
 
@@ -95,7 +100,8 @@ def _load_fleet_records(path: str) -> List[MachineRecord]:
 
 #: Mailbox files for the ``reshard`` command: the CLI drops a request
 #: into the running fleet's snapshot directory; the ``shard-serve``
-#: loop executes it and answers with a report (or the error).
+#: loop executes it and answers with a report (or the error).  Both
+#: sides write by rename, so neither ever reads a half-written file.
 _RESHARD_REQUEST = "reshard.request"
 _RESHARD_DONE = "reshard.done"
 
@@ -131,8 +137,8 @@ def _check_reshard_request(supervisor, snapshot_dir) -> Optional[str]:
     except Exception as exc:
         done = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
         status = f"reshard failed: {done['error']}"
-    (Path(snapshot_dir) / _RESHARD_DONE).write_text(
-        json.dumps(done, indent=2) + "\n", encoding="utf-8")
+    atomic_write_text(Path(snapshot_dir) / _RESHARD_DONE,
+                      json.dumps(done, indent=2) + "\n")
     return status
 
 
@@ -149,8 +155,8 @@ def _cmd_reshard(args: argparse.Namespace) -> int:
     done_path.unlink(missing_ok=True)
     request = {"to": args.to, "batch": args.batch,
                "drain_threshold": args.drain_threshold}
-    (snapshot_dir / _RESHARD_REQUEST).write_text(
-        json.dumps(request) + "\n", encoding="utf-8")
+    atomic_write_text(snapshot_dir / _RESHARD_REQUEST,
+                      json.dumps(request) + "\n")
     print(f"reshard request queued: -> {args.to} shards "
           f"(picked up on the fleet's next health sweep)")
     if not args.wait:
@@ -703,7 +709,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.obs.logconfig import configure_logging
         configure_logging(args.log_level or "info",
                           json_mode=args.log_json)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ReproError, OSError) as exc:
+        # Bad input (a missing, torn or foreign snapshot, a bad stage
+        # name, a busy port) is the operator's to fix: one line, no
+        # traceback.
+        print(f"repro: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

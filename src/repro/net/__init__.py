@@ -9,10 +9,6 @@ one.  This package provides:
 - :class:`~repro.net.transport.SimTransport` — a message fabric over the
   DES kernel: ``send`` schedules delivery after the modelled latency; each
   bound endpoint is a mailbox served by a component process.
-- :class:`~repro.net.proxy.ProxyServer` — the per-machine daemon a pool
-  manager contacts to bootstrap a resource pool on a remote host
-  (Section 5.2.3: "the pool manager starts it via a proxy server on the
-  remote machine").
 """
 
 from repro.net.address import Endpoint

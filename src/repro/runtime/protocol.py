@@ -42,9 +42,8 @@ In the paper every pipeline stage is the same kind of object: a process
 that "initializes itself and listens to a specified port" (Section
 5.2.3) and answers one request per connection turn.  :class:`FrameServer`
 is that object, written once: listener lifecycle, the accept loop, the
-error crossing, and connection drain.  The ActYP front end, the three
-distributed stage servers and the shard worker subclass it and say only
-what a request means.
+error crossing, and connection drain.  The ActYP front end and the
+shard worker subclass it and say only what a request means.
 """
 
 from __future__ import annotations

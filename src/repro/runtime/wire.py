@@ -1,9 +1,9 @@
-"""Wire serialisation of pipeline objects for the distributed runtime.
+"""Wire encoding of query clauses.
 
-Queries cross stage boundaries in the distributed asyncio deployment, so
-they need a faithful JSON encoding — including the routing state the
-paper insists travels *with* the query ("all state information is carried
-with the query itself"): component indices, TTL, visited pool managers.
+A shard worker compiles and evaluates match queries on its own side of
+the socket, so the clauses of a query cross the wire as JSON. Values keep
+their kind (string, number, range, set) so a clause decodes to one that
+compares equal to the original.
 """
 
 from __future__ import annotations
@@ -11,15 +11,10 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from repro.core.operators import Op, RangeValue
-from repro.core.query import Allocation, Clause, Query, QueryResult
+from repro.core.query import Clause
 from repro.errors import RuntimeProtocolError
-from repro.runtime.protocol import allocation_to_dict
 
-__all__ = [
-    "clause_to_dict", "clause_from_dict",
-    "query_to_dict", "query_from_dict",
-    "result_payload_to_dict", "result_payload_from_dict",
-]
+__all__ = ["clause_to_dict", "clause_from_dict"]
 
 
 def _value_to_dict(value: Any) -> Dict[str, Any]:
@@ -68,69 +63,3 @@ def clause_from_dict(data: Dict[str, Any]) -> Clause:
     except KeyError as exc:
         raise RuntimeProtocolError(f"malformed clause: missing {exc}") from exc
 
-
-def query_to_dict(query: Query) -> Dict[str, Any]:
-    return {
-        "clauses": [clause_to_dict(c) for c in query.clauses],
-        "query_id": query.query_id,
-        "origin": query.origin,
-        "component_index": query.component_index,
-        "component_count": query.component_count,
-        "ttl": query.ttl,
-        "visited_pool_managers": list(query.visited_pool_managers),
-        "submitted_at": query.submitted_at,
-    }
-
-
-def query_from_dict(data: Dict[str, Any]) -> Query:
-    try:
-        return Query(
-            clauses=tuple(clause_from_dict(c) for c in data["clauses"]),
-            query_id=int(data.get("query_id", 0)),
-            origin=str(data.get("origin", "")),
-            component_index=int(data.get("component_index", 0)),
-            component_count=int(data.get("component_count", 1)),
-            ttl=int(data.get("ttl", 4)),
-            visited_pool_managers=tuple(
-                data.get("visited_pool_managers", [])),
-            submitted_at=float(data.get("submitted_at", 0.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise RuntimeProtocolError(f"malformed query: {exc}") from exc
-
-
-def result_payload_to_dict(result: QueryResult) -> Dict[str, Any]:
-    out: Dict[str, Any] = {
-        "query_id": result.query_id,
-        "component_index": result.component_index,
-        "component_count": result.component_count,
-        "completed_at": result.completed_at,
-    }
-    if result.allocation is not None:
-        out["allocation"] = allocation_to_dict(result.allocation)
-    if result.error is not None:
-        out["error"] = result.error
-    return out
-
-
-def result_payload_from_dict(data: Dict[str, Any]) -> QueryResult:
-    allocation = None
-    if "allocation" in data:
-        a = data["allocation"]
-        allocation = Allocation(
-            machine_name=a["machine_name"],
-            address=a.get("address", a["machine_name"]),
-            execution_unit_port=int(a.get("execution_unit_port", 7070)),
-            access_key=a["access_key"],
-            shadow_account=a.get("shadow_account"),
-            pool_name=a.get("pool_name", ""),
-            pool_instance=int(a.get("pool_instance", -1)),
-        )
-    return QueryResult(
-        query_id=int(data.get("query_id", 0)),
-        component_index=int(data.get("component_index", 0)),
-        component_count=int(data.get("component_count", 1)),
-        allocation=allocation,
-        error=data.get("error"),
-        completed_at=float(data.get("completed_at", 0.0)),
-    )

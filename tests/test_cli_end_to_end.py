@@ -65,3 +65,32 @@ def test_query_output_is_json(fleet_file, capsys):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+
+
+
+#: case -> (file contents, or None for no file; the error line's start).
+_BAD_FLEETS = {
+    "not_json": ("this is not json",
+                 "DatabaseError: invalid database JSON"),
+    "retired_snapshot": (json.dumps({"format": "repro.whitepages",
+                                     "version": 2, "machines": []}),
+                         "DatabaseError: unsupported snapshot version"),
+    "missing": (None, "FileNotFoundError"),
+}
+
+
+@pytest.mark.parametrize("command", ["serve", "shard-serve"])
+@pytest.mark.parametrize("case", sorted(_BAD_FLEETS))
+def test_bad_fleet_file_is_one_error_line(tmp_path, capsys, command, case):
+    """A fleet file the CLI cannot load exits 1 with one named error
+    line, not a Python traceback."""
+    contents, error = _BAD_FLEETS[case]
+    fleet = tmp_path / "fleet.json"
+    if contents is not None:
+        fleet.write_text(contents, encoding="utf-8")
+    extra = (["--snapshot-dir", str(tmp_path / "shards")]
+             if command == "shard-serve" else ["--port", "0"])
+    assert main([command, "--fleet", str(fleet), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro: error: {error}")
+    assert err.count("\n") == 1

@@ -1,4 +1,4 @@
-"""Tests for endpoints, latency models, the simulated transport, proxies."""
+"""Tests for endpoints, latency models and the simulated transport."""
 
 from __future__ import annotations
 
@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from repro.config import LatencyConfig
-from repro.core.resource_pool import ResourcePool
-from repro.errors import AddressError, ConfigError, PoolCreationError, TransportError
+from repro.errors import AddressError, ConfigError, TransportError
 from repro.net.address import Endpoint
 from repro.net.latency import ConstantLatency, DomainLatencyModel
-from repro.net.proxy import ProxyRegistry
 from repro.net.transport import SimTransport
 from repro.sim.kernel import Simulator
 
@@ -161,34 +159,3 @@ class TestSimTransport:
         self.sim.run()
         assert sorted(results) == ["first", "second"]
 
-
-class TestProxy:
-    def test_spawn_through_live_proxy(self, small_db):
-        from repro.core.language import parse_query
-        from repro.core.signature import pool_name_for
-
-        registry = ProxyRegistry()
-        proxy = registry.ensure("remote1")
-        q = parse_query("punch.rsrc.arch = sun").basic()
-
-        pool = proxy.spawn(lambda: ResourcePool(
-            pool_name_for(q), small_db, exemplar_query=q))
-        assert pool.name.full in proxy.spawned
-
-    def test_dead_proxy_refuses(self, small_db):
-        registry = ProxyRegistry()
-        registry.ensure("remote1")
-        registry.kill("remote1")
-        with pytest.raises(PoolCreationError):
-            registry.get("remote1").spawn(lambda: None)
-
-    def test_cron_revive(self):
-        registry = ProxyRegistry()
-        registry.ensure("remote1")
-        registry.kill("remote1")
-        registry.revive("remote1")
-        assert registry.get("remote1").alive
-
-    def test_unknown_host_raises(self):
-        with pytest.raises(PoolCreationError):
-            ProxyRegistry().get("ghost")

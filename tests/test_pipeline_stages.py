@@ -12,6 +12,7 @@ from repro.core.pool_manager import Delegate, PoolManager, RouteFailed, RouteToP
 from repro.core.query_manager import QueryManager
 from repro.core.signature import pool_name_for
 from repro.database.directory import LocalDirectoryService
+from repro.database.fields import MachineState
 from repro.errors import ConfigError, NoResourceAvailableError, PipelineError, PoolCreationError
 from repro.net.address import Endpoint
 
@@ -232,3 +233,23 @@ class TestEndToEndService:
                 service.release(r.allocation.access_key)
         assert ok == 50
         assert service.stats()["open_queries"] == 0
+
+    def test_split_pool_fans_out_over_fragments(self, fleet_db):
+        # Figure 7 on the in-process path: once a pool is split, a query
+        # is served by one of its fragments; when no fragment has a live
+        # machine the query fails with the last fragment's reason.
+        service = build_service(fleet_db, n_pool_managers=1)
+        first = service.submit("punch.rsrc.arch = sun")
+        service.release(first.allocation.access_key)
+        (manager,) = service.pool_managers.values()
+        fragments = manager.split_pool(pool_name_for(sun_q()), 2)
+        result = service.submit("punch.rsrc.arch = sun")
+        assert result.ok
+        assert result.allocation.pool_instance in \
+            {f.instance_number for f in fragments}
+        service.release(result.allocation.access_key)
+        for name in fleet_db.names():
+            if name.startswith("sun"):
+                fleet_db.update_dynamic(name, state=MachineState.DOWN)
+        failed = service.submit("punch.rsrc.arch = sun")
+        assert not failed.ok and failed.error

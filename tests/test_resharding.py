@@ -422,6 +422,59 @@ class TestReshardCli:
         thread.join()
         assert rc == 0
 
+    def test_sweep_mid_write_never_sees_a_torn_request(self, tmp_path,
+                                                       monkeypatch):
+        """A health sweep landing after the request file is opened for
+        writing but before its bytes are written sees no request (or a
+        whole one) — never an empty file it would reject and consume."""
+        import builtins
+        import io
+        from types import SimpleNamespace
+
+        from repro.cli import _check_reshard_request, main
+
+        calls = []
+        report = SimpleNamespace(
+            summary=lambda: "resharded 2->4 shards", new_shards=4,
+            new_epoch=1, cutover_pause_s=0.0, endpoints=[])
+        fleet = SimpleNamespace(
+            rebalance=lambda to, **_: calls.append(to) or report)
+        swept = []
+        real_open = builtins.open
+
+        class SweepBeforeWrite:
+            def __init__(self, handle):
+                self._handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._handle.close()
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+            def write(self, text):
+                swept.append(_check_reshard_request(fleet, tmp_path))
+                return self._handle.write(text)
+
+        def pausing_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and Path(file).name.startswith("reshard.request"):
+                return SweepBeforeWrite(handle)
+            return handle
+
+        monkeypatch.setattr(builtins, "open", pausing_open)
+        monkeypatch.setattr(io, "open", pausing_open)
+        assert main(["reshard", "--snapshot-dir", str(tmp_path),
+                     "--to", "4"]) == 0
+        monkeypatch.undo()
+        assert swept == [None]
+        assert not (tmp_path / "reshard.done").exists()
+        status = _check_reshard_request(fleet, tmp_path)
+        assert status == "resharded 2->4 shards" and calls == [4]
+
     def test_reshard_command_requires_directory(self, tmp_path):
         from repro.cli import main
 

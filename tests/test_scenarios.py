@@ -550,7 +550,9 @@ class TestScenariosCli:
         assert set(data["scenarios"]) == {"baseline", "wan_partition"}
         assert "scenario_wan_partition_p99_s" in data["timings_s"]
 
-    def test_unknown_stage_fails_loudly(self, tmp_path):
+    def test_unknown_stage_fails_loudly(self, tmp_path, capsys):
         from repro.cli import main
-        with pytest.raises(ConfigError, match="unknown scenario stage"):
-            main(["scenarios", "--stages", "nope", "--records", "100"])
+        assert main(["scenarios", "--stages", "nope",
+                     "--records", "100"]) == 1
+        assert "repro: error: ConfigError: unknown scenario stage" in \
+            capsys.readouterr().err

@@ -58,6 +58,7 @@ from repro.runtime.protocol import (
     encode_message,
     read_frame_sock,
 )
+from repro.runtime.wire import clause_from_dict, clause_to_dict
 from repro.runtime.shard_worker import ShardWorker
 from tests.wire_contract import WireContract
 
@@ -393,6 +394,30 @@ class TestProtocolErrorPaths(WireContract):
         with pytest.raises(DatabaseError, match="snapshot write"):
             client.snapshot_shard(0, "/nonexistent-dir/nope/x.json")
         assert client.health()[0]["kind"] == "health"  # conn survives
+
+
+class TestWireSerialisation:
+    """Match clauses cross to the worker in the ``runtime/wire`` encoding;
+    every value kind must decode to an equal clause."""
+
+    def test_clause_roundtrip_string(self):
+        c = Clause("punch", "rsrc", "arch", Op.EQ, "sun")
+        assert clause_from_dict(clause_to_dict(c)) == c
+
+    def test_clause_roundtrip_number(self):
+        c = Clause("punch", "rsrc", "memory", Op.GE, 128.0)
+        assert clause_from_dict(clause_to_dict(c)) == c
+
+    def test_clause_roundtrip_range(self):
+        c = Clause("punch", "rsrc", "memory", Op.RANGE, RangeValue(10, 20))
+        restored = clause_from_dict(clause_to_dict(c))
+        assert restored == c
+        assert isinstance(restored.value, RangeValue)
+
+    def test_clause_roundtrip_set(self):
+        c = Clause("punch", "rsrc", "cms", Op.IN,
+                   frozenset({"sge", "pbs", "condor"}))
+        assert clause_from_dict(clause_to_dict(c)) == c
 
 
 class TestContinuationFrames:

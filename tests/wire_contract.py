@@ -1,13 +1,12 @@
 """The wire contract: one abuse table, every frame server.
 
 :class:`WireContract` holds the cases; a test class per server
-(``ActYPServer`` in ``test_runtime_asyncio``, a distributed stage server
-in ``test_runtime_distributed``, ``ShardWorker`` in
+(``ActYPServer`` in ``test_runtime_asyncio``, ``ShardWorker`` in
 ``test_shard_service``) subclasses it and says only how to start that
 server, which request proves it is alive and which verb needs a body.
-The servers share one accept loop
+The two servers share one accept loop
 (:class:`repro.runtime.protocol.FrameServer`), so a row that passes for
-one and fails for another means a server grew its own.
+one and fails for the other means a server grew its own.
 """
 
 from __future__ import annotations
