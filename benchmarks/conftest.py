@@ -3,7 +3,7 @@
 Each figure benchmark runs its experiment driver once (``pedantic`` with a
 single round — the drivers are deterministic simulations, not
 microbenchmarks), prints the regenerated table, and asserts the
-qualitative shape facts recorded in EXPERIMENTS.md.
+qualitative shape facts ARCHITECTURE.md records for each figure.
 
 Run with::
 
@@ -21,6 +21,8 @@ import statistics
 import time
 
 import pytest
+
+from repro.fleet import FleetSpec, build_fleet
 
 
 def timed_median(fn, *args, repeats=5, **kwargs):
@@ -43,6 +45,24 @@ def paper_scale() -> bool:
 @pytest.fixture(scope="session")
 def scale() -> bool:
     return paper_scale()
+
+
+@pytest.fixture(scope="session")
+def scale_records():
+    """``scale_records(n)``: the ``FleetSpec(size=n, seed=11,
+    stripe_pools=32)`` records the scale gates share, built once per
+    size for the whole session.  Records are immutable and the tuple
+    cannot be appended to, so each gate file builds its own database
+    from the same rows instead of regenerating the fleet."""
+    cache = {}
+
+    def records(n: int) -> tuple:
+        if n not in cache:
+            cache[n] = tuple(build_fleet(
+                FleetSpec(size=n, seed=11, stripe_pools=32)))
+        return cache[n]
+
+    return records
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -24,6 +24,7 @@ import argparse
 import json
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -36,12 +37,7 @@ from repro.core.scheduler import IndexedPoolScheduler
 from repro.core.scheduling import get_objective
 from repro.core.signature import pool_name_for
 from repro.database.indexes import AttributeIndexCatalog
-from repro.database.persistence import (
-    dumps_database,
-    load_database,
-    loads_database,
-    save_database,
-)
+from repro.database.persistence import dumps_database, loads_database
 from repro.database.sharding import ShardedWhitePagesDatabase
 from repro.database.whitepages import WhitePagesDatabase
 from repro.fleet import FleetSpec, build_database
@@ -57,10 +53,6 @@ TWO_EQ_TEXT = "punch.rsrc.pool = p07\npunch.rsrc.osversion = 7.3"
 #: Stripe used by the indexed in-pool scheduler op (distinct from
 #: QUERY_TEXT's p07 so the pool-walk op can take/release p07 freely).
 POOL_SCHED_TEXT = "punch.rsrc.pool = p01"
-#: Broad range conjunction — no equality for the hash indexes to make
-#: selective, so the row path degenerates to a per-record verify loop
-#: and the columnar mask sweep is the op under test.
-BROAD_TEXT = "punch.rsrc.memory = >=256\npunch.rsrc.load = <3.0"
 #: Indexed pools attached during the subscribed write-path op.
 SUBSCRIBED_POOLS = 200
 
@@ -212,7 +204,7 @@ def measure() -> dict:
 
     # Full v3 cold start: parse the compact snapshot text, fast-load the
     # records, restore the row-id index catalog, answer a first query.
-    v3_text = dumps_database(db, version=3)
+    v3_text = dumps_database(db)
 
     def v3_cold_start():
         restored = loads_database(v3_text)
@@ -237,31 +229,6 @@ def measure() -> dict:
     results["sharded_update_dynamic_s"] = \
         _median(sharded_dynamic_burst, 3) / len(names)
 
-    # Persistent shard service: the same selective match and routed
-    # point-write paths, but against live out-of-process workers over
-    # the wire protocol (absolute numbers include localhost RTTs).
-    import tempfile
-
-    # Columnar kernel: the vectorized mask sweep over a broad range
-    # conjunction, and the v4 mmap cold start (parse rows + attach the
-    # binary column sidecar + first columnar match).
-    columnar_db = WhitePagesDatabase(
-        [db.get(name) for name in db.names()], columnar=True)
-    broad_plan = compile_plan(parse_query(BROAD_TEXT).basic())
-    columnar_db.match(broad_plan)  # warm
-    results["columnar_match_s"] = _median(
-        lambda: columnar_db.match(broad_plan), 5)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        v4_path = Path(tmp) / "fleet_v4.json"
-        save_database(columnar_db, v4_path, version=4)
-
-        def columnar_cold_start():
-            restored = load_database(v4_path)
-            return restored.match(broad_plan)
-
-        results["columnar_cold_start_s"] = _median(columnar_cold_start, 3)
-
     # WAL crash recovery: recover a 5k-op write-ahead log (per-record
     # CRC check + JSON decode) and replay it into a fresh worker — the
     # restart path a crashed shard pays before accepting traffic.
@@ -285,6 +252,9 @@ def measure() -> dict:
         assert wal_replay() == replay_n
         results["wal_replay_s"] = _median(wal_replay, 3)
 
+    # Persistent shard service: the same selective match and routed
+    # point-write paths, but against live out-of-process workers over
+    # the wire protocol (absolute numbers include localhost RTTs).
     from repro.database.service import ShardSupervisor
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,7 +1,7 @@
 """Ablation — cost-model sensitivity of the calibration anchor.
 
-EXPERIMENTS.md calibrates ``pool_scan_per_machine_s`` against Figure 6's
-3,200-machine point.  This bench verifies the model behaves linearly in
+``CostModel.pool_scan_per_machine_s`` (``repro/config.py``) is calibrated
+against Figure 6's 3,200-machine point.  This bench verifies the model behaves linearly in
 that knob (response time under saturation scales ~proportionally with the
 per-machine scan cost), which is what makes the single-point calibration
 trustworthy: get the anchor right and every ratio in Figures 4-8 follows

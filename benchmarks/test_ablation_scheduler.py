@@ -1,8 +1,9 @@
 """Ablation — linear scan vs indexed pool scheduler.
 
-DESIGN.md: the paper's Figure 6 slopes exist *because* the prototype used
-linear search inside pools ("the linear plots are simply a function of the
-linear search algorithms employed for scheduling").  Replacing the scan
+ARCHITECTURE.md ("The indexed in-pool scheduler"): the paper's Figure 6
+slopes exist *because* the prototype used linear search inside pools
+("the linear plots are simply a function of the linear search algorithms
+employed for scheduling").  Replacing the scan
 with an indexed scheduler (logarithmic cost) removes the pool-size
 penalty — demonstrating that the pipelined architecture itself is not the
 source of the linear growth.

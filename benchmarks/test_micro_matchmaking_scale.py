@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.language import parse_query
 from repro.core.plan import compile_plan
-from repro.fleet import FleetSpec, build_database
+from repro.database.whitepages import WhitePagesDatabase
 
 from benchmarks.conftest import timed_median
 from tests.conftest import linear_oracle
@@ -41,15 +41,13 @@ punch.rsrc.memory = >=256
 
 
 @pytest.fixture(scope="module")
-def scale_db():
-    db, _ = build_database(FleetSpec(size=N, seed=11, stripe_pools=32))
-    return db
+def scale_db(scale_records):
+    return WhitePagesDatabase(scale_records(N))
 
 
 @pytest.fixture(scope="module")
-def small_scale_db():
-    db, _ = build_database(FleetSpec(size=SMALL_N, seed=11, stripe_pools=32))
-    return db
+def small_scale_db(scale_records):
+    return WhitePagesDatabase(scale_records(SMALL_N))
 
 
 def test_match_equals_scan_at_scale(scale_db):

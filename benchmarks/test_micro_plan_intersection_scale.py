@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.language import parse_query
 from repro.core.plan import compile_plan
-from repro.fleet import FleetSpec, build_database
+from repro.database.whitepages import WhitePagesDatabase
 
 from benchmarks.conftest import timed_median
 from tests.conftest import linear_oracle
@@ -40,9 +40,8 @@ CUTOFF_TEXT = "punch.rsrc.pool = p07\npunch.rsrc.memory = >=256"
 
 
 @pytest.fixture(scope="module")
-def scale_db():
-    db, _ = build_database(FleetSpec(size=N, seed=11, stripe_pools=32))
-    return db
+def scale_db(scale_records):
+    return WhitePagesDatabase(scale_records(N))
 
 
 def test_intersection_equals_single_path_and_oracle(scale_db):

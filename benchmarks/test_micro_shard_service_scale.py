@@ -24,7 +24,6 @@ from repro.core.language import parse_query
 from repro.core.plan import compile_plan
 from repro.database.service import ShardSupervisor
 from repro.database.whitepages import WhitePagesDatabase
-from repro.fleet import FleetSpec, build_fleet
 
 from benchmarks.conftest import timed_median as _timed
 
@@ -42,8 +41,8 @@ QUERY_TEXTS = (
 
 
 @pytest.fixture(scope="module")
-def records():
-    return build_fleet(FleetSpec(size=N, seed=11, stripe_pools=32))
+def records(scale_records):
+    return scale_records(N)
 
 
 @pytest.fixture(scope="module")

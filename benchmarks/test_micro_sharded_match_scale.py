@@ -23,7 +23,7 @@ import pytest
 from repro.core.language import parse_query
 from repro.core.plan import compile_plan
 from repro.database.sharding import ShardedWhitePagesDatabase
-from repro.fleet import FleetSpec, build_fleet
+from repro.database.whitepages import WhitePagesDatabase
 
 from benchmarks.conftest import timed_median as _timed
 
@@ -42,9 +42,8 @@ QUERY_TEXTS = (
 
 
 @pytest.fixture(scope="module")
-def fleets():
-    from repro.database.whitepages import WhitePagesDatabase
-    records = build_fleet(FleetSpec(size=N, seed=11, stripe_pools=32))
+def fleets(scale_records):
+    records = scale_records(N)
     single = WhitePagesDatabase(records)
     sharded = ShardedWhitePagesDatabase(records, shards=SHARDS)
     return single, sharded

@@ -29,7 +29,6 @@ from repro.database.persistence import (
 )
 from repro.database.records import MachineRecord
 from repro.database.whitepages import WhitePagesDatabase
-from repro.fleet import FleetSpec, build_fleet
 
 from benchmarks.conftest import timed_median
 from tests.conftest import linear_oracle
@@ -44,8 +43,8 @@ QUERY_TEXT = "punch.rsrc.pool = p07\npunch.rsrc.memory = >=256"
 
 
 @pytest.fixture(scope="module")
-def fleet():
-    records = build_fleet(FleetSpec(size=N, seed=11, stripe_pools=32))
+def fleet(scale_records):
+    records = scale_records(N)
     db = WhitePagesDatabase(records)
     return records, db.catalog_snapshot(), compile_plan(
         parse_query(QUERY_TEXT).basic())

@@ -35,7 +35,6 @@ import pytest
 from repro.core.language import parse_query
 from repro.core.plan import compile_plan
 from repro.database.service import ShardSupervisor
-from repro.fleet import FleetSpec, build_fleet
 
 pytestmark = pytest.mark.scale_gate
 
@@ -55,8 +54,8 @@ REG_PAIRS = 100
 
 
 @pytest.fixture(scope="module")
-def records():
-    return build_fleet(FleetSpec(size=N, seed=11, stripe_pools=32))
+def records(scale_records):
+    return scale_records(N)
 
 
 @pytest.fixture(scope="module")

@@ -33,7 +33,6 @@ import time
 import pytest
 
 from repro.database.service import ShardServiceClient, ShardSupervisor
-from repro.fleet import FleetSpec, build_fleet
 
 pytestmark = pytest.mark.scale_gate
 
@@ -45,8 +44,8 @@ REPLAY_BUDGET_S_PER_RECORD = 300e-6
 
 
 @pytest.fixture(scope="module")
-def records():
-    return build_fleet(FleetSpec(size=N, seed=11, stripe_pools=32))
+def records(scale_records):
+    return scale_records(N)
 
 
 def _register_all(endpoints, records):

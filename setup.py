@@ -1,16 +1,13 @@
 """Legacy shim so ``pip install -e .`` works without the ``wheel`` package
 (offline environments).
 
-The only metadata carried here is the optional-dependency sets:
-``pip install repro[columnar]`` pulls numpy for the vectorized columnar
-match kernel (the engine degrades to the row path with a one-time
-warning when numpy is absent).
+The only metadata carried here is the runtime dependency: numpy, which
+the fleet generator, the query pipeline and the index-snapshot restore
+all import.
 """
 
 from setuptools import setup
 
 setup(
-    extras_require={
-        "columnar": ["numpy>=1.22"],
-    },
+    install_requires=["numpy>=1.22"],
 )

@@ -78,22 +78,20 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     spec = FleetSpec(size=args.size, domain=args.domain,
                      stripe_pools=args.stripe_pools, seed=args.seed)
     records = build_fleet(spec)
-    version = args.snapshot_version
     if args.shards > 1:
         db = ShardedWhitePagesDatabase(records, shards=args.shards)
-        paths = save_sharded_database(db, args.out, version=version)
+        paths = save_sharded_database(db, args.out)
         print(f"wrote {len(db)} machines to {args.out} "
-              f"(v{version}, {args.shards} shards, "
-              f"{len(paths) - 1} shard files)")
+              f"(v3, {args.shards} shards, {len(paths) - 1} shard files)")
     else:
         db = WhitePagesDatabase(records)
-        save_database(db, args.out, version=version)
-        print(f"wrote {len(db)} machines to {args.out} (v{version})")
+        save_database(db, args.out)
+        print(f"wrote {len(db)} machines to {args.out} (v3)")
     return 0
 
 
 def _load_fleet_records(path: str) -> List[MachineRecord]:
-    """Records from any snapshot flavour (manifest or plain v3/v4)."""
+    """Records from a shard manifest or a plain snapshot."""
     db = load_sharded_database(path)
     return [db.get(name) for name in db.names()]
 
@@ -199,7 +197,6 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
     supervisor = build_shard_service(
         args.shards, args.snapshot_dir, records=records, host=args.host,
         wal=args.wal, wal_interval=args.wal_interval,
-        columnar=True if args.columnar else None,
         slow_op_threshold=args.slow_op_threshold)
     supervisor.start()
     endpoints = ",".join(f"{h}:{p}" for h, p in supervisor.endpoints)
@@ -240,26 +237,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core.pipeline import build_service
     from repro.runtime.server import ActYPServer
 
-    # --columnar forces the vectorized kernel on; without it v4
-    # snapshots still auto-enable it (the persistence tri-state).
-    columnar = True if args.columnar else None
     if args.shard_service:
         from repro.database.service import ShardServiceClient, parse_endpoints
         db = ShardServiceClient(parse_endpoints(args.shard_service))
     elif args.fleet:
         if args.shards > 1 or is_shard_manifest(args.fleet):
             db = load_sharded_database(
-                args.fleet, shards=args.shards if args.shards > 1 else None,
-                columnar=columnar)
+                args.fleet, shards=args.shards if args.shards > 1 else None)
         else:
-            db = load_database(args.fleet, columnar=columnar)
+            db = load_database(args.fleet)
     elif args.shards > 1:
         db = ShardedWhitePagesDatabase(
-            build_fleet(FleetSpec(size=args.size)), shards=args.shards,
-            columnar=bool(args.columnar))
+            build_fleet(FleetSpec(size=args.size)), shards=args.shards)
     else:
-        db = WhitePagesDatabase(build_fleet(FleetSpec(size=args.size)),
-                                columnar=bool(args.columnar))
+        db = WhitePagesDatabase(build_fleet(FleetSpec(size=args.size)))
     service = build_service(db, n_pool_managers=args.pool_managers)
 
     async def run() -> None:
@@ -535,10 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--shards", type=int, default=1,
                          help="write a per-shard snapshot set (manifest + "
                               "one file per shard)")
-    p_fleet.add_argument("--snapshot-version", type=int, default=3,
-                         choices=(3, 4),
-                         help="snapshot format (4 = v3 JSON + mmap-loadable "
-                              "binary column sidecar)")
     p_fleet.add_argument("--out", required=True)
     p_fleet.set_defaults(fn=_cmd_fleet)
 
@@ -557,9 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "in-process database; comma-separated "
                               "host:port list in shard order (see "
                               "'shard-serve')")
-    p_serve.add_argument("--columnar", action="store_true",
-                         help="force the vectorized columnar match kernel "
-                              "on (v4 snapshots enable it automatically)")
     p_serve.set_defaults(fn=_cmd_serve)
 
     p_shard = sub.add_parser(
@@ -578,9 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard.add_argument("--checkpoint-interval", type=float, default=0.0,
                          help="seconds between automatic checkpoints "
                               "(0 = only the initial seed)")
-    p_shard.add_argument("--columnar", action="store_true",
-                         help="run every worker with the vectorized "
-                              "columnar match kernel")
     p_shard.add_argument("--wal", default="fsync",
                          choices=("off", "async", "fsync"),
                          help="per-shard write-ahead op log: 'fsync' "

@@ -1,9 +1,10 @@
 """Configuration dataclasses for every ActYP component.
 
-All tunables live here so that experiments can sweep them and DESIGN.md's
-ablations have a single place to point at.  The defaults are calibrated so
-the simulated pipeline reproduces the *shape* and rough magnitudes of the
-paper's figures (response times of 0.1—1.5 s for a 3,200-machine database).
+All tunables live here so that experiments and the
+``benchmarks/test_ablation_*.py`` ablations sweep them from one place.
+The defaults are calibrated so the simulated pipeline reproduces the
+*shape* and rough magnitudes of the paper's figures (response times of
+0.1—1.5 s for a 3,200-machine database).
 """
 
 from __future__ import annotations

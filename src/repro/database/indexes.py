@@ -34,6 +34,8 @@ from base64 import b64decode, b64encode
 from bisect import bisect_left, insort
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+import numpy as np
+
 __all__ = [
     "INDEX_SCHEMA_VERSION",
     "pack_array",
@@ -633,39 +635,24 @@ class AttributeIndexCatalog:
             values, names = block["values"], block["names"]
             if isinstance(values, str) or isinstance(names, str):
                 # Packed (base64 little-endian) arrays — only legal in
-                # row-id encoding.  numpy (when available) gives
-                # zero-copy views plus C-speed monotonicity/bounds
-                # checks; without it, the stdlib codec restores the
-                # same structures a little slower.  Any unpacking
+                # row-id encoding.  numpy gives zero-copy views plus
+                # C-speed monotonicity/bounds checks.  Any unpacking
                 # failure raises into the caller's rebuild fallback.
                 if table is None or not isinstance(values, str) \
                         or not isinstance(names, str):
                     raise ValueError(f"packed arrays for {attr!r} malformed")
-                try:
-                    import numpy as np
-                except ImportError:  # pragma: no cover - numpy-less install
-                    np = None
-                if np is not None:
-                    values = np.frombuffer(b64decode(values, validate=True),
-                                           dtype="<f8")
-                    names = np.frombuffer(b64decode(names, validate=True),
-                                          dtype="<u4")
-                    # Elementwise <= (not np.diff: inf - inf is NaN, so
-                    # diff would falsely reject repeated infinities).
-                    ascending = len(values) == 0 or \
-                        bool((values[:-1] <= values[1:]).all())
-                else:
-                    values = unpack_array("d", values)
-                    names = unpack_array("I", names)
-                    value_list = values.tolist()
-                    ascending = value_list == sorted(value_list)
+                values = np.frombuffer(b64decode(values, validate=True),
+                                       dtype="<f8")
+                names = np.frombuffer(b64decode(names, validate=True),
+                                      dtype="<u4")
                 if len(values) != len(names):
                     raise ValueError(f"sorted arrays for {attr!r} misaligned")
-                if not ascending:
+                # Elementwise <= (not np.diff: inf - inf is NaN, so diff
+                # would falsely reject repeated infinities).
+                if len(values) and not bool((values[:-1] <= values[1:]).all()):
                     raise ValueError(
                         f"sorted values for {attr!r} not ascending")
-                max_id = (int(names.max()) if np is not None else max(names)) \
-                    if len(names) else -1
+                max_id = int(names.max()) if len(names) else -1
                 if max_id >= n_rows:
                     raise ValueError(f"row id out of range for {attr!r}")
             else:

@@ -4,14 +4,15 @@ The paper's database was an operational store maintained by
 administrators; a library users can adopt needs the fleet definition to
 survive restarts and travel between tools.
 
-**Format version 3** (the default write format) is the compact cold-start
+**Format version 3** (the only format) is the compact cold-start
 encoding: machine records as *positional rows* (layout declared by the
 embedded ``row_schema``, which must equal
 :data:`~repro.database.records.RECORD_ROW_FIELDS`), no indentation, and
 service flags packed into a bit mask; loading goes through
 :meth:`~repro.database.records.MachineRecord.from_row`.  Files written
-in the retired dict-per-machine formats (versions 1 and 2) are refused
-with ``DatabaseError("unsupported snapshot version …")``.
+in the retired formats — the dict-per-machine versions 1 and 2, and
+version 4 (v3 plus a binary file of numeric columns) — are refused with
+``DatabaseError("unsupported snapshot version …")``.
 
 A snapshot embeds an image of the
 :class:`~repro.database.indexes.AttributeIndexCatalog` so startup can
@@ -36,22 +37,6 @@ deleted from one posting list by hand): like any database file content,
 the index section is trusted once its schema, record checksum, and
 structure check out — delete the ``indexes`` key (or load with
 ``use_index_snapshot=False``) to force a rebuild after manual edits.
-
-**Format version 4** is v3 plus a binary **column sidecar**
-(``<snapshot>.cols``, see :mod:`repro.database.columnar`): the
-numerically-coercible attribute values packed as little-endian float64
-columns with per-column CRCs, which :func:`load_database` attaches by
-mmap so the columnar match engine is warm after page faults instead of
-after an O(N·attrs) rebuild.  v4 snapshots load as columnar databases
-by default (``columnar=False`` opts out; ``columnar=True`` enables the
-engine for *any* version by rebuilding columns from the rows).  The
-fallback ladder mirrors the index image: a missing, truncated, or
-CRC-mismatched sidecar silently rebuilds the columns from the rows,
-and a corrupt column surfacing later (CRCs are checked lazily, on the
-first clause that touches a column) rebuilds at that point — the main
-JSON file remains the single source of truth.  Because the sidecar is
-binary, v4 cannot be produced by :func:`dumps_database`; use
-:func:`save_database`.
 """
 
 from __future__ import annotations
@@ -72,10 +57,8 @@ __all__ = ["save_database", "load_database", "dumps_database",
            "loads_database", "restore_catalog", "snapshot_wal_lsn",
            "atomic_write_text"]
 
+#: The one snapshot format this code writes and reads.
 _FORMAT_VERSION = 3
-#: Versions this loader understands (3 = compact positional rows;
-#: 4 = v3 + binary column sidecar).
-_SUPPORTED_VERSIONS = (3, 4)
 
 
 def _machines_checksum(machines: List[Any]) -> int:
@@ -147,67 +130,36 @@ def _raw_machines_span(text: str) -> Optional[str]:
 
 def dumps_database(db: WhitePagesDatabase, *,
                    include_indexes: bool = True,
-                   version: int = _FORMAT_VERSION,
                    wal_lsn: Optional[int] = None) -> str:
     """Serialise the database (records + optional index image).
-
-    ``version=3`` (the default) writes the compact positional-row
-    format.  ``version=4`` is rejected here — its column sidecar is a
-    separate binary file, so only the path-based :func:`save_database`
-    can write it.
 
     ``wal_lsn`` embeds a write-ahead-log watermark (the LSN of the last
     op this snapshot includes, see :mod:`repro.database.wal`): landing
     it inside the snapshot makes watermark and records atomic under one
     ``os.replace``, which is what lets a crash between checkpoint and
-    log truncation replay as a no-op instead of a double-apply.
-    """
-    if version == 4:
-        raise DatabaseError(
-            "format v4 writes a binary column sidecar next to the "
-            "snapshot; use save_database() with a path")
-    if version != 3:
-        raise DatabaseError(f"cannot write snapshot version {version!r}")
-    # One atomic capture: records and catalog image from the same lock
-    # hold, so the checksum can never bless an index section that
-    # reflects a mutation the record section missed.
-    with db.exclusive():
-        records, catalog_image = db.snapshot_state()
-        taken = db.holders()
-    return _dumps_payload(records, catalog_image,
-                          include_indexes=include_indexes, version=version,
-                          wal_lsn=wal_lsn, taken=taken)
-
-
-def _dumps_payload(records: List[MachineRecord],
-                   catalog_image: Dict[str, Any], *,
-                   include_indexes: bool, version: int,
-                   columns_meta: Optional[Dict[str, Any]] = None,
-                   wal_lsn: Optional[int] = None,
-                   taken: Optional[Dict[str, str]] = None) -> str:
-    """Serialise an already-captured (records, catalog image) pair.
-
-    v4 shares the v3 row encoding — same ``row_schema``, same index
-    section — plus a ``columns`` key pointing at the binary sidecar.
-    The optional ``wal_lsn`` and ``taken`` keys sort after
-    ``row_schema`` in the compact serialisation, so the byte-exact
-    ``machines`` span the fast loader checksums (see
-    :func:`_raw_machines_span`) is unaffected.
+    log truncation replay as a no-op instead of a double-apply.  The
+    optional ``wal_lsn`` and ``taken`` keys sort after ``row_schema`` in
+    the compact serialisation, so the byte-exact ``machines`` span the
+    fast loader checksums (see :func:`_raw_machines_span`) is unaffected.
 
     ``taken`` is the machine→pool holder map: take/release is mutable
     state exactly like ``current_load``, so a snapshot that dropped it
     could never be crash-exact (a ``take`` WAL-truncated by a
     checkpoint would vanish on recovery).
     """
+    # One atomic capture: records and catalog image from the same lock
+    # hold, so the checksum can never bless an index section that
+    # reflects a mutation the record section missed.
+    with db.exclusive():
+        records, catalog_image = db.snapshot_state()
+        taken = db.holders()
     machines: List[Any] = [record.to_row() for record in records]
     payload: Dict[str, Any] = {
         "format": "repro.whitepages",
-        "version": version,
+        "version": _FORMAT_VERSION,
         "row_schema": list(RECORD_ROW_FIELDS),
         "machines": machines,
     }
-    if columns_meta is not None:
-        payload["columns"] = columns_meta
     if wal_lsn is not None:
         payload["wal_lsn"] = int(wal_lsn)
     if taken:
@@ -250,19 +202,9 @@ def restore_catalog(payload: Dict[str, Any],
         return None
 
 
-def loads_database(text: str, *, use_index_snapshot: bool = True,
-                   columnar: Optional[bool] = None,
-                   sidecar_dir: Optional[Union[str, Path]] = None
+def loads_database(text: str, *, use_index_snapshot: bool = True
                    ) -> WhitePagesDatabase:
-    """Parse a snapshot (any supported version) into a database.
-
-    ``columnar=None`` (the default) enables the columnar engine for v4
-    snapshots; since only :func:`load_database` can reach the binary
-    sidecar, a v4 *string* rebuilds its columns from the rows unless
-    ``sidecar_dir`` names the directory holding the sidecar file (the
-    per-shard manifest loader passes it so shard files keep their mmap
-    cold start).  ``columnar=True``/``False`` force the engine on (any
-    version) or off.
+    """Parse a v3 snapshot into a database.
 
     Collection is paused for the duration: a bulk load allocates
     millions of long-lived containers and no cycles, so letting the
@@ -274,48 +216,13 @@ def loads_database(text: str, *, use_index_snapshot: bool = True,
         gc.disable()
     try:
         return _loads_database_inner(
-            text, use_index_snapshot=use_index_snapshot, columnar=columnar,
-            sidecar_dir=Path(sidecar_dir) if sidecar_dir is not None else None)
+            text, use_index_snapshot=use_index_snapshot)
     finally:
         if gc_was_enabled:
             gc.enable()
 
 
-def _attach_columns(records: List[MachineRecord], version: int,
-                    columnar: Optional[bool],
-                    columns_meta: Optional[Dict[str, Any]],
-                    sidecar_dir: Optional[Path]):
-    """The column store for a freshly-parsed snapshot, or None.
-
-    The fallback ladder: mmap-attach the v4 sidecar (name table and
-    header eagerly validated, column CRCs lazily) → rebuild columns
-    from the rows → plain row-path database.  Every failure is silent:
-    the sidecar is an optimisation, the rows are the source of truth.
-    """
-    want = columnar if columnar is not None else version == 4
-    if not want:
-        return None
-    from repro.database import columnar as _columnar
-    if not _columnar.HAVE_NUMPY:
-        _columnar.warn_numpy_missing()
-        return None
-    if isinstance(columns_meta, dict) and sidecar_dir is not None:
-        try:
-            return _columnar.ColumnStore.from_sidecar(
-                sidecar_dir / str(columns_meta.get("file", "")),
-                [record.machine_name for record in records],
-                header_crc=columns_meta.get("header_crc"))
-        except _columnar.ColumnDataError:
-            pass  # fall through to the rebuild
-    try:
-        return _columnar.ColumnStore(records)
-    except _columnar.ColumnDataError:  # pragma: no cover - defensive
-        return None
-
-
-def _loads_database_inner(text: str, *, use_index_snapshot: bool,
-                          columnar: Optional[bool] = None,
-                          sidecar_dir: Optional[Path] = None
+def _loads_database_inner(text: str, *, use_index_snapshot: bool
                           ) -> WhitePagesDatabase:
     try:
         payload = json.loads(text)
@@ -325,7 +232,7 @@ def _loads_database_inner(text: str, *, use_index_snapshot: bool,
             payload.get("format") != "repro.whitepages":
         raise DatabaseError("not a repro.whitepages snapshot")
     version = payload.get("version")
-    if version not in _SUPPORTED_VERSIONS:
+    if version != _FORMAT_VERSION:
         raise DatabaseError(f"unsupported snapshot version {version!r}")
     if payload.get("row_schema") != list(RECORD_ROW_FIELDS):
         raise DatabaseError(
@@ -339,11 +246,8 @@ def _loads_database_inner(text: str, *, use_index_snapshot: bool,
     catalog = restore_catalog(
         payload, records, machines_text=_raw_machines_span(text)) \
         if use_index_snapshot else None
-    columns = _attach_columns(records, version, columnar,
-                              payload.get("columns"), sidecar_dir)
-    return _restore_taken(
-        WhitePagesDatabase(records, catalog=catalog, columns=columns),
-        payload)
+    return _restore_taken(WhitePagesDatabase(records, catalog=catalog),
+                          payload)
 
 
 def _restore_taken(db: WhitePagesDatabase,
@@ -371,7 +275,7 @@ def snapshot_wal_lsn(text: str) -> int:
     no watermark, and an op log found next to them is by
     definition entirely newer than their contents.
 
-    The compact v3/v4 serialisation makes the key findable without a
+    The compact v3 serialisation makes the key findable without a
     full parse (``"wal_lsn":N`` with fixed separators, near the end of
     the file); anything irregular falls back to ``json.loads``.
     """
@@ -428,68 +332,20 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
 
 def save_database(db: WhitePagesDatabase, path: Union[str, Path], *,
                   include_indexes: bool = True,
-                  version: int = _FORMAT_VERSION,
                   wal_lsn: Optional[int] = None) -> None:
-    """Write a snapshot file (and, for ``version=4``, its sidecar).
+    """Write a snapshot file.
 
     Writes are atomic (tmp + fsync + rename, :func:`atomic_write_text`)
     so a crash mid-save can never leave a torn snapshot that poisons
-    the next restart.  v4 captures the records, the catalog image,
-    *and* the column arrays under one lock hold, writes ``<path>.cols``,
-    then the main JSON (which embeds the sidecar's file name and header
-    CRC).
+    the next restart.
     """
-    path = Path(path)
-    if version == 4:
-        from repro.database import columnar as _columnar
-        if not _columnar.HAVE_NUMPY:
-            raise DatabaseError(
-                "format v4 requires numpy to build the column sidecar "
-                "(install 'repro[columnar]' or write version=3)")
-        with db.exclusive():
-            records, catalog_image = db.snapshot_state()
-            taken = db.holders()
-            names = [record.machine_name for record in records]
-            columns = None
-            store = getattr(db, "_columns", None)
-            if store is not None:
-                try:
-                    columns = store.column_arrays(names)
-                except _columnar.ColumnDataError:
-                    columns = None
-            if columns is None:
-                columns = _columnar.columns_from_records(records)
-        sidecar_name = path.name + ".cols"
-        header_crc = _columnar.write_sidecar_file(
-            path.with_name(sidecar_name), columns, names)
-        text = _dumps_payload(
-            records, catalog_image, include_indexes=include_indexes,
-            version=4, columns_meta={"file": sidecar_name,
-                                     "rows": len(names),
-                                     "header_crc": header_crc},
-            wal_lsn=wal_lsn, taken=taken)
-        atomic_write_text(path, text)
-        return
     atomic_write_text(
-        path,
-        dumps_database(db, include_indexes=include_indexes, version=version,
-                       wal_lsn=wal_lsn))
+        path, dumps_database(db, include_indexes=include_indexes,
+                             wal_lsn=wal_lsn))
 
 
-def load_database(path: Union[str, Path], *, use_index_snapshot: bool = True,
-                  columnar: Optional[bool] = None) -> WhitePagesDatabase:
-    """Load a snapshot file; v4 snapshots mmap-attach their column
-    sidecar (``columnar=None`` = auto by version, see
-    :func:`loads_database`)."""
-    path = Path(path)
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        return _loads_database_inner(
-            path.read_text(encoding="utf-8"),
-            use_index_snapshot=use_index_snapshot,
-            columnar=columnar, sidecar_dir=path.parent)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+def load_database(path: Union[str, Path], *, use_index_snapshot: bool = True
+                  ) -> WhitePagesDatabase:
+    """Load a snapshot file (see :func:`loads_database`)."""
+    return loads_database(Path(path).read_text(encoding="utf-8"),
+                          use_index_snapshot=use_index_snapshot)

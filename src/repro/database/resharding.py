@@ -228,7 +228,7 @@ class ShardMigrator:
         records = []
         holders: Dict[str, str] = {}
         for path in self._src_paths:
-            db = load_database(path, columnar=False)
+            db = load_database(path)
             records.extend(db.get(name) for name in db.names())
             holders.update(db.holders())
         sharded = ShardedWhitePagesDatabase(records, shards=self.new_shards)
@@ -238,7 +238,7 @@ class ShardMigrator:
             sharded.take(name, pool)
         for j, shard_db in enumerate(sharded.shards):
             path = sup._dir / f"reshard_seed_{j}.e{self.new_epoch}.json"
-            save_database(shard_db, path, version=3)
+            save_database(shard_db, path)
             self._seed_paths.append(path)
 
     def _spawn_targets(self) -> None:

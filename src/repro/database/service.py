@@ -1009,10 +1009,9 @@ class ShardServiceClient:
         """The client's own registry (RTTs, reconnects, stragglers)."""
         return self._metrics
 
-    def snapshot_shard(self, shard_index: int, path: Union[str, Path],
-                       version: int = 3) -> Dict[str, Any]:
-        """Ask one worker to write its own snapshot file (``version=4``
-        adds the worker-side binary column sidecar).
+    def snapshot_shard(self, shard_index: int,
+                       path: Union[str, Path]) -> Dict[str, Any]:
+        """Ask one worker to write its own snapshot file.
 
         ``shard_index`` names a shard of the *current* routing table;
         with a WAL attached the worker truncates its log after the
@@ -1021,7 +1020,7 @@ class ShardServiceClient:
         with self._oplock:
             return self._shard_roundtrip(
                 shard_index,
-                {"kind": "snapshot", "path": str(path), "version": version})
+                {"kind": "snapshot", "path": str(path)})
 
     def reset(self, records: Iterable[MachineRecord] = ()) -> None:
         """Replace every worker's shard with freshly seeded state
@@ -1120,10 +1119,6 @@ class ShardSupervisor:
         Initial fleet.  Seeded via per-shard snapshot files — workers
         cold-start from disk in parallel instead of replaying one
         ``register`` round trip per record.
-    columnar:
-        Column-kernel tri-state handed to every worker (``None`` =
-        follow the snapshot version; ``True`` = vectorized matching in
-        each worker process even from v3 seeds).
     wal, wal_interval:
         The durability knob (see :mod:`repro.database.wal`).
         ``wal="off"`` (the default) keeps the PR 5 contract below;
@@ -1158,7 +1153,6 @@ class ShardSupervisor:
     def __init__(self, shards: int, *, host: str = "127.0.0.1",
                  snapshot_dir: Optional[Union[str, Path]] = None,
                  records: Iterable[MachineRecord] = (),
-                 columnar: Optional[bool] = None,
                  wal: str = "off", wal_interval: float = 0.0,
                  telemetry: bool = True,
                  slow_op_threshold: float = 0.25):
@@ -1175,10 +1169,6 @@ class ShardSupervisor:
                 "op logs")
         self.shards = shards
         self.host = host
-        #: Persistence tri-state handed to every worker: ``None`` =
-        #: follow the snapshot version, ``True``/``False`` = force the
-        #: columnar kernel on or off.
-        self.columnar = columnar
         self.wal = wal
         self.wal_interval = float(wal_interval)
         #: Worker observability: ``telemetry=False`` spawns workers
@@ -1344,7 +1334,7 @@ class ShardSupervisor:
             target=run_shard_worker,
             args=(shard_index, shards, self.host, port,
                   snapshot_path, child_conn,
-                  self.columnar, self.wal, wal_path,
+                  self.wal, wal_path,
                   self.wal_interval, epoch,
                   self.telemetry, self.slow_op_threshold, slow_op_path),
             daemon=True,

@@ -26,12 +26,11 @@ is property-tested against this class.
 
 Persistence
 -----------
-:func:`save_sharded_database` dumps one v3 (or, with ``version=4``, one
-v4-plus-column-sidecar) snapshot *per shard* plus a small manifest, so
-cold start can load (and eventually stream) shards independently;
-``shards=1`` falls back to the plain whole-file snapshot.
-:func:`load_sharded_database` accepts a manifest **or** any plain
-v3/v4 snapshot, coercing it into the requested shard count
+:func:`save_sharded_database` dumps one v3 snapshot *per shard* plus a
+small manifest, so cold start can load (and eventually stream) shards
+independently; ``shards=1`` falls back to the plain whole-file snapshot.
+:func:`load_sharded_database` accepts a manifest **or** a plain v3
+snapshot, coercing it into the requested shard count
 (``shards=1`` keeps a restored index catalog; re-sharding rebuilds the
 per-shard catalogs from records).
 
@@ -195,13 +194,10 @@ class ShardedWhitePagesDatabase:
         Shard count (>= 1).  ``shards=1`` delegates every operation to
         the single shard — behaviour (and performance) identical to a
         plain :class:`WhitePagesDatabase`.
-    columnar:
-        Build each shard with the columnar match kernel
-        (:mod:`repro.database.columnar`).
     """
 
     def __init__(self, records: Iterable[MachineRecord] = (), *,
-                 shards: int = 1, columnar: bool = False):
+                 shards: int = 1):
         if shards < 1:
             raise ConfigError(f"shard count must be >= 1, got {shards}")
         if shards > _MAX_SHARDS:
@@ -211,7 +207,7 @@ class ShardedWhitePagesDatabase:
         for record in records:
             groups[shard_of(record.machine_name, shards)].append(record)
         self._shards: List[WhitePagesDatabase] = [
-            WhitePagesDatabase(g, columnar=columnar) for g in groups]
+            WhitePagesDatabase(g) for g in groups]
 
     @classmethod
     def from_shard_databases(
@@ -253,11 +249,6 @@ class ShardedWhitePagesDatabase:
     def shards(self) -> Tuple[WhitePagesDatabase, ...]:
         """The shard databases, for persistence."""
         return tuple(self._shards)
-
-    @property
-    def columnar(self) -> bool:
-        """True when every shard runs the columnar match kernel."""
-        return all(shard.columnar for shard in self._shards)
 
     def shard_for(self, machine_name: str) -> WhitePagesDatabase:
         """The shard that owns ``machine_name`` (whether registered or
@@ -464,8 +455,7 @@ def is_shard_manifest(path: Union[str, Path]) -> bool:
 
 
 def save_sharded_database(db: WhitePages, path: Union[str, Path], *,
-                          include_indexes: bool = True,
-                          version: int = 3) -> List[Path]:
+                          include_indexes: bool = True) -> List[Path]:
     """Snapshot ``db`` as a manifest plus one file per shard.
 
     Returns every path written (manifest first).  A single-shard (or
@@ -476,53 +466,24 @@ def save_sharded_database(db: WhitePages, path: Union[str, Path], *,
     The shard files are captured under :meth:`~ShardedWhitePagesDatabase
     .exclusive`, so a concurrent writer cannot split one logical update
     across two shard snapshots.
-
-    ``version=4`` writes each shard through
-    :func:`~repro.database.persistence.save_database`, so every shard
-    file gains its own binary column sidecar (``<file>.cols``) and
-    cold-starts by mmap instead of a column rebuild.  The sidecar paths
-    are appended after the shard files in the returned list; the
-    manifest itself lists (and checksums) only the JSON shard files —
-    sidecars carry their own CRCs and fall back silently.
     """
     from repro.database.persistence import dumps_database, save_database
     path = Path(path)
     if isinstance(db, WhitePagesDatabase) or db.shard_count == 1:
         single = db if isinstance(db, WhitePagesDatabase) else db.shards[0]
-        save_database(single, path, include_indexes=include_indexes,
-                      version=version)
-        if version == 4:
-            return [path, path.with_name(path.name + ".cols")]
+        save_database(single, path, include_indexes=include_indexes)
         return [path]
     files = [_shard_file_name(path, i) for i in range(db.shard_count)]
     written: List[Path] = []
-    sidecars: List[Path] = []
     checksums: List[int] = []
     with db.exclusive():
-        if version == 4:
-            # Shard locks are re-entrant, so each per-shard
-            # save_database (which takes its own exclusive hold to
-            # capture rows + columns coherently) nests under the
-            # cross-shard hold.
-            for name, shard in zip(files, db.shards):
-                shard_path = path.parent / name
-                save_database(shard, shard_path,
-                              include_indexes=include_indexes, version=4)
-                checksums.append(zlib.crc32(shard_path.read_bytes()))
-                written.append(shard_path)
-                sidecars.append(shard_path.with_name(shard_path.name
-                                                     + ".cols"))
-            texts = None
-        else:
-            texts = [dumps_database(shard, include_indexes=include_indexes,
-                                    version=version)
-                     for shard in db.shards]
-    if texts is not None:
-        for name, text in zip(files, texts):
-            shard_path = path.parent / name
-            shard_path.write_text(text, encoding="utf-8")
-            checksums.append(zlib.crc32(text.encode("utf-8")))
-            written.append(shard_path)
+        texts = [dumps_database(shard, include_indexes=include_indexes)
+                 for shard in db.shards]
+    for name, text in zip(files, texts):
+        shard_path = path.parent / name
+        shard_path.write_text(text, encoding="utf-8")
+        checksums.append(zlib.crc32(text.encode("utf-8")))
+        written.append(shard_path)
     manifest = {
         # "format" first: the loader sniffs the file head before
         # committing to a full JSON parse of what may be a 100 MB
@@ -531,18 +492,17 @@ def save_sharded_database(db: WhitePages, path: Union[str, Path], *,
         "version": _MANIFEST_VERSION,
         "partition": _PARTITION_CRC32,
         "shards": len(files),
-        "snapshot_version": version,
+        "snapshot_version": 3,
         "machines": len(db),
         "files": files,
         "checksums": checksums,
     }
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    return [path] + written + sidecars
+    return [path] + written
 
 
 def _load_manifest_shards(manifest: Dict[str, Any], base: Path, *,
-                          use_index_snapshot: bool,
-                          columnar: Optional[bool] = None
+                          use_index_snapshot: bool
                           ) -> List[WhitePagesDatabase]:
     from repro.database.persistence import loads_database
     if manifest.get("version") != _MANIFEST_VERSION:
@@ -566,35 +526,25 @@ def _load_manifest_shards(manifest: Dict[str, Any], base: Path, *,
         if isinstance(checksums, list) and i < len(checksums) and \
                 checksums[i] != zlib.crc32(text.encode("utf-8")):
             raise DatabaseError(f"shard file {name!r} fails its checksum")
-        # sidecar_dir lets a v4 shard file mmap-attach its column
-        # sidecar instead of rebuilding columns from rows.
         shard_dbs.append(loads_database(
-            text, use_index_snapshot=use_index_snapshot,
-            columnar=columnar, sidecar_dir=base))
+            text, use_index_snapshot=use_index_snapshot))
     return shard_dbs
 
 
 def load_sharded_database(path: Union[str, Path], *,
                           shards: Optional[int] = None,
-                          use_index_snapshot: bool = True,
-                          columnar: Optional[bool] = None
+                          use_index_snapshot: bool = True
                           ) -> ShardedWhitePagesDatabase:
-    """Load a shard manifest *or* any plain snapshot into a sharded DB.
+    """Load a shard manifest *or* a plain snapshot into a sharded DB.
 
     - Manifest + matching (or unspecified) ``shards``: each shard file
       loads independently — including its own v3 index-catalog restore —
       and is adopted as-is after routing validation.
     - Manifest + different ``shards``: records are gathered and
       re-partitioned; per-shard catalogs rebuild from records.
-    - Plain v3/v4 snapshot: loaded through the normal single-file
-      path, then coerced.  ``shards=1`` (or None) keeps the restored
-      catalog; a larger count re-partitions and rebuilds.
-
-    ``columnar`` follows the persistence tri-state: ``None`` enables
-    the column kernel for v4 shard files (mmap-attaching their
-    sidecars), ``True``/``False`` force it on or off.  Re-partitioning
-    rebuilds columns from records, preserving whatever the loaded
-    shards ran.
+    - Plain v3 snapshot: loaded through the normal single-file path,
+      then coerced.  ``shards=1`` (or None) keeps the restored catalog;
+      a larger count re-partitions and rebuilds.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -609,23 +559,17 @@ def load_sharded_database(path: Union[str, Path], *,
             manifest = payload
     if manifest is not None:
         shard_dbs = _load_manifest_shards(
-            manifest, path.parent, use_index_snapshot=use_index_snapshot,
-            columnar=columnar)
+            manifest, path.parent, use_index_snapshot=use_index_snapshot)
         if shards is None or shards == len(shard_dbs):
             return ShardedWhitePagesDatabase.from_shard_databases(shard_dbs)
-        want = columnar if columnar is not None \
-            else all(db.columnar for db in shard_dbs)
         records = [rec for db in shard_dbs
                    for rec in (db.get(name) for name in db.names())]
-        return ShardedWhitePagesDatabase(records, shards=shards,
-                                         columnar=want)
+        return ShardedWhitePagesDatabase(records, shards=shards)
     from repro.database.persistence import loads_database
-    single = loads_database(text, use_index_snapshot=use_index_snapshot,
-                            columnar=columnar, sidecar_dir=path.parent)
+    single = loads_database(text, use_index_snapshot=use_index_snapshot)
     if shards is None or shards == 1:
         # N=1 coercion: adopt the loaded database (restored catalog and
         # all) as the only shard.
         return ShardedWhitePagesDatabase.from_shard_databases([single])
-    want = columnar if columnar is not None else single.columnar
     records = [single.get(name) for name in single.names()]
-    return ShardedWhitePagesDatabase(records, shards=shards, columnar=want)
+    return ShardedWhitePagesDatabase(records, shards=shards)

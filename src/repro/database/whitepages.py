@@ -74,20 +74,6 @@ class WhitePagesDatabase:
     responsible for its consistency with ``records`` (the persistence
     layer guards this with a checksum and falls back to a rebuild).
 
-    ``columnar=True`` additionally maintains a
-    :class:`~repro.database.columnar.ColumnStore` — contiguous numpy
-    columns of the numerically-coercible attribute values — and lets
-    :meth:`match` evaluate range/coercible-equality clauses as boolean
-    masks over those columns, verifying only the leftover clauses per
-    admitted record.  The flag is a pure execution-strategy knob:
-    results are always identical to the row path, and any column
-    failure (e.g. a corrupt snapshot sidecar) silently rebuilds from
-    the records or falls back to the row path.  When numpy is not
-    installed the knob degrades to the row path with a one-time
-    warning.  ``columns`` lets the v4 snapshot loader hand over an
-    already-attached (mmap-backed) store, exactly as ``catalog`` does
-    for the index image.
-
     Record-change **listeners** are invoked — under the registry lock —
     whenever a record is replaced or removed; the indexed in-pool
     scheduler uses this to re-rank only the machine whose record actually
@@ -108,15 +94,9 @@ class WhitePagesDatabase:
     #: most this multiple of the current candidate set — a huge second
     #: posting set costs more to walk than the verifications it saves.
     intersect_ratio: float = 8.0
-    #: Columnar execution yields to the hash-index path when a
-    #: non-columnar equality probe's posting set is this many times
-    #: smaller than the registry — walking a handful of candidates beats
-    #: an O(rows) mask pass.  Purely a cost decision, never semantic.
-    columnar_eq_cutoff: float = 16.0
 
     def __init__(self, records: Iterable[MachineRecord] = (),
-                 *, catalog: Optional[AttributeIndexCatalog] = None,
-                 columnar: bool = False, columns: Optional[Any] = None):
+                 *, catalog: Optional[AttributeIndexCatalog] = None):
         self._lock = threading.RLock()
         self._records: Dict[str, MachineRecord] = {}
         self._taken_by: Dict[str, str] = {}  # machine name -> pool name
@@ -137,47 +117,6 @@ class WhitePagesDatabase:
         else:
             self._catalog = AttributeIndexCatalog()
             self._catalog.bulk_load(initial)
-        self._columns: Optional[Any] = None
-        if columns is not None:
-            self._columns = columns
-        elif columnar:
-            from repro.database import columnar as _columnar
-            if _columnar.HAVE_NUMPY:
-                self._columns = _columnar.ColumnStore(initial)
-            else:
-                _columnar.warn_numpy_missing()
-
-    @property
-    def columnar(self) -> bool:
-        """Whether the columnar match engine is active."""
-        return self._columns is not None
-
-    def _column_event(self, op: str, *args) -> None:
-        """Mirror a registry mutation into the column store.
-
-        Any column failure (a corrupt sidecar block surfacing on a
-        copy-on-write thaw) falls back to a rebuild from the records —
-        the store is derived state, exactly like the index catalog.
-        """
-        store = self._columns
-        if store is None:
-            return
-        from repro.database.columnar import ColumnDataError
-        try:
-            getattr(store, op)(*args)
-        except ColumnDataError:
-            self._rebuild_columns()
-
-    def _rebuild_columns(self) -> None:
-        """Rebuild the column store from the records (fallback ladder)."""
-        from repro.database.columnar import ColumnDataError, ColumnStore
-        try:
-            store = ColumnStore(self._records[n] for n in self._names)
-            for name in self._taken_by:
-                store.set_free(name, False)
-        except ColumnDataError:  # pragma: no cover - numpy vanished
-            store = None
-        self._columns = store
 
     # -- change listeners -----------------------------------------------------
 
@@ -253,7 +192,6 @@ class WhitePagesDatabase:
             insort(self._names, record.machine_name)
             self._free.add(record.machine_name)
             self._catalog.add(record)
-            self._column_event("add", record)
             # Notify so a pool whose cached machine was removed and then
             # re-registered can restore it to its scheduling order.
             self._notify(record.machine_name, record)
@@ -269,7 +207,6 @@ class WhitePagesDatabase:
             if i < len(self._names) and self._names[i] == machine_name:
                 del self._names[i]
             self._catalog.remove(machine_name)
-            self._column_event("remove", machine_name)
             self._notify(machine_name, None)
             return rec
 
@@ -287,7 +224,6 @@ class WhitePagesDatabase:
                 raise UnknownMachineError(record.machine_name)
             self._records[record.machine_name] = record
             self._catalog.replace(record)
-            self._column_event("replace", record)
             self._notify(record.machine_name, record)
 
     def update_dynamic(self, machine_name: str, **dynamic) -> MachineRecord:
@@ -305,7 +241,6 @@ class WhitePagesDatabase:
             new = rec.with_dynamic(**dynamic)
             self._records[machine_name] = new
             self._catalog.replace_dynamic(new, dynamic)
-            self._column_event("replace_dynamic", new, dynamic)
             self._notify(machine_name, new)
             return new
 
@@ -354,10 +289,6 @@ class WhitePagesDatabase:
         with self._lock:
             if plan.unsatisfiable:
                 return []
-            if self._columns is not None:
-                result = self._match_columnar(plan, include_taken)
-                if result is not None:
-                    return result
             names = self._plan_candidates(plan, include_taken)
             if not include_taken:
                 names = [n for n in names if n in self._free]
@@ -374,69 +305,6 @@ class WhitePagesDatabase:
                     out.append(rec)
             out.sort(key=lambda r: r.machine_name)
             return out
-
-    def _match_columnar(self, plan: "QueryPlan", include_taken: bool
-                        ) -> Optional[List[MachineRecord]]:
-        """Columnar execution of ``plan``; None = use the row path.
-
-        Runs under the registry lock.  The column masks admit exactly
-        the rows satisfying every columnar clause (plus the free/valid
-        base mask); the leftover clauses — non-coercible equalities and
-        the residual — are verified per admitted row through the same
-        cached views the row path uses, so results are identical by
-        construction.  Comma-valued (fuzzy) rows the masks cannot
-        decide are re-verified against the *full* clause set.
-        """
-        store = self._columns
-        program = store.compile_program(plan)
-        if program is None:
-            return None  # no columnar clause: row path
-        if program.empty:
-            return []
-        if plan.eq_probes:
-            # A very selective hash probe beats an O(rows) mask pass,
-            # whether the probed equality is columnar or leftover.
-            cutoff = len(self._records) / self.columnar_eq_cutoff
-            for attr, value in plan.eq_probes:
-                posting = self._catalog.eq_candidates(attr, value)
-                if not posting:
-                    return []  # no machine can loosely equal this value
-                if len(posting) <= cutoff:
-                    return None
-        from repro.database.columnar import ColumnDataError
-        try:
-            admitted, fuzzy = store.evaluate(program, include_taken)
-        except ColumnDataError:
-            self._rebuild_columns()
-            return None  # this call takes the row path; next one re-tries
-        leftover = program.leftover
-        records = self._records
-        out: List[MachineRecord] = []
-        if len(leftover):
-            catalog_view = self._catalog.view
-            for name in admitted:
-                rec = records.get(name)
-                if rec is None:  # cannot occur; mirror the row path's guard
-                    continue
-                view = catalog_view(name)
-                if view is None:
-                    view = rec.attribute_view()
-                if leftover.matches_view(view):
-                    out.append(rec)
-        else:
-            out = [records[name] for name in admitted if name in records]
-        clause_set = plan.clause_set
-        for name in fuzzy:
-            rec = records.get(name)
-            if rec is None:
-                continue
-            view = self._catalog.view(name)
-            if view is None:
-                view = rec.attribute_view()
-            if clause_set.matches_view(view):
-                out.append(rec)
-        out.sort(key=lambda r: r.machine_name)
-        return out
 
     def count(self, plan: Any = None, *, include_taken: bool = False) -> int:
         """Number of records a plan matches (the fan-out-friendly form:
@@ -521,7 +389,6 @@ class WhitePagesDatabase:
                 return False
             self._taken_by[machine_name] = pool_name
             self._free.discard(machine_name)
-            self._column_event("set_free", machine_name, False)
             return True
 
     def take_all(self, machine_names: Iterable[str], pool_name: str) -> List[str]:
@@ -544,7 +411,6 @@ class WhitePagesDatabase:
                 )
             del self._taken_by[machine_name]
             self._free.add(machine_name)
-            self._column_event("set_free", machine_name, True)
 
     def release_pool(self, pool_name: str) -> int:
         """Release every machine held by ``pool_name``; return the count."""
@@ -553,7 +419,6 @@ class WhitePagesDatabase:
             for name in names:
                 del self._taken_by[name]
                 self._free.add(name)
-                self._column_event("set_free", name, True)
             return len(names)
 
     def holder_of(self, machine_name: str) -> Optional[str]:
@@ -579,8 +444,6 @@ class WhitePagesDatabase:
             stats = self._catalog.stats()
             stats["free"] = len(self._free)
             stats["taken"] = len(self._taken_by)
-            stats["columnar"] = self._columns.stats() \
-                if self._columns is not None else None
             return stats
 
     def catalog_snapshot(self) -> Dict[str, Any]:

@@ -5,8 +5,9 @@ scaled-down defaults (so the benchmark suite completes in minutes) and a
 ``paper_scale=True`` switch that uses the paper's exact parameters
 (3,200 machines, 70 clients, 236,222 workload samples).
 
-The benchmarks in ``benchmarks/`` call these drivers and assert the
-qualitative *shape* facts recorded in EXPERIMENTS.md.
+The benchmarks in ``benchmarks/`` call these drivers and assert each
+curve's qualitative *shape* (ARCHITECTURE.md, "Where the paper's figures
+are reproduced").
 """
 
 from repro.experiments.common import ExperimentConfig, FigureResult, SeriesPoint

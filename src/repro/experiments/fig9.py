@@ -58,7 +58,8 @@ def run_fig9(
 
 
 def shape_facts(result: FigureResult) -> dict:
-    """The qualitative facts the benchmark asserts (EXPERIMENTS.md)."""
+    """The qualitative facts
+    ``benchmarks/test_fig9_cpu_time_distribution.py`` asserts."""
     counts = np.array([p.mean for p in result.series["runs"]])
     xs = np.array([p.x for p in result.series["runs"]])
     total_in_view = counts.sum()

@@ -139,23 +139,20 @@ def build_database(
     *,
     with_shadows: bool = False,
     shards: int = 1,
-    columnar: bool = False,
 ):
     """Build a white-pages database (and optionally shadow registry).
 
     ``shards > 1`` partitions the fleet across a
     :class:`~repro.database.sharding.ShardedWhitePagesDatabase`; the
     default stays a plain single-shard :class:`WhitePagesDatabase`.
-    ``columnar=True`` builds each shard with the vectorized match kernel.
     """
     spec = spec or FleetSpec()
     records = build_fleet(spec)
     if shards > 1:
         from repro.database.sharding import ShardedWhitePagesDatabase
-        db = ShardedWhitePagesDatabase(records, shards=shards,
-                                       columnar=columnar)
+        db = ShardedWhitePagesDatabase(records, shards=shards)
     else:
-        db = WhitePagesDatabase(records, columnar=columnar)
+        db = WhitePagesDatabase(records)
     registry: Optional[ShadowAccountRegistry] = None
     if with_shadows:
         registry = ShadowAccountRegistry()
@@ -174,7 +171,6 @@ def build_shard_service(
     host: str = "127.0.0.1",
     wal: str = "fsync",
     wal_interval: float = 0.0,
-    columnar: Optional[bool] = None,
     slow_op_threshold: float = 0.25,
 ):
     """A configured (not yet started) shard-worker supervisor.
@@ -193,6 +189,6 @@ def build_shard_service(
         records = build_fleet(spec)
     return ShardSupervisor(
         shards, host=host, snapshot_dir=snapshot_dir,
-        records=records or (), columnar=columnar,
+        records=records or (),
         wal=wal, wal_interval=wal_interval,
         slow_op_threshold=slow_op_threshold)

@@ -37,8 +37,8 @@ verb               request fields             reply
 ``count_up``       —                          ``count``
 ``len``            —                          ``count``
 ``contains``       ``name``                   ``ok`` with ``contains`` bool
-``snapshot``       ``path`` (optional),       ``snapshot`` (``crc``,
-                   ``version``                ``machines``; ``text`` inline
+``snapshot``       ``path`` (optional)        ``snapshot`` (``crc``,
+                                              ``machines``; ``text`` inline
                                               when no path given)
 ``health``         —                          ``health`` (pid, shard index,
                                               machines, requests, wal, ...)
@@ -59,7 +59,7 @@ verb               request fields             reply
                                               :mod:`repro.runtime.faults`)
 ``routing``        —                          ``routing`` (epoch, shards,
                                               routing table if known)
-``migrate_begin``  ``path``, ``version``      ``snapshot`` with ``watermark``
+``migrate_begin``  ``path``                   ``snapshot`` with ``watermark``
                                               (no WAL truncation — the tail
                                               stays streamable)
 ``migrate_tail``   ``after_lsn``,             ``tail`` (``entries``,
@@ -874,15 +874,12 @@ class ShardWorker(FrameServer):
                       if name.startswith("_verb_"))
 
     def _verb_snapshot(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Write (or return) a v3 (or path-backed v4) snapshot of the
-        live shard.
+        """Write (or return) a v3 snapshot of the live shard.
 
         With a ``path`` the text stays worker-side — the supervisor's
         checkpoint of a 100 MB shard costs one small reply, not a bulk
         transfer; without one the text rides back inline on
-        continuation frames.  ``version=4`` needs a ``path`` (its
-        binary column sidecar lands next to the snapshot file and
-        cannot ride an inline text reply).
+        continuation frames.
 
         With a write-ahead log attached, the snapshot embeds
         :attr:`~repro.database.wal.WriteAheadLog.last_lsn` as its
@@ -896,29 +893,13 @@ class ShardWorker(FrameServer):
         from repro.database.persistence import (
             atomic_write_text,
             dumps_database,
-            save_database,
         )
-        version = int(frame.get("version", 3))
         path = frame.get("path")
         watermark = self.wal.last_lsn if self.wal is not None else None
-        if version == 4 and path:
-            try:
-                save_database(self.database, path, version=4,
-                              wal_lsn=watermark)
-                with open(path, "rb") as fh:
-                    crc = zlib.crc32(fh.read())
-            except OSError as exc:
-                raise DatabaseError(
-                    f"snapshot write to {path!r} failed: {exc}") from exc
-            self._truncate_wal()
-            return {"kind": "snapshot", "crc": crc,
-                    "machines": len(self.database), "version": version,
-                    "path": str(path)}
-        text = dumps_database(self.database, version=version,
-                              wal_lsn=watermark)
+        text = dumps_database(self.database, wal_lsn=watermark)
         crc = zlib.crc32(text.encode("utf-8"))
         reply = {"kind": "snapshot", "crc": crc,
-                 "machines": len(self.database), "version": version}
+                 "machines": len(self.database)}
         if path:
             try:
                 atomic_write_text(path, text)
@@ -1001,8 +982,7 @@ class ShardWorker(FrameServer):
         path = str(frame["path"])
         watermark = self.wal.last_lsn
         try:
-            save_database(self.database, path, version=3,
-                          wal_lsn=watermark)
+            save_database(self.database, path, wal_lsn=watermark)
         except OSError as exc:
             raise DatabaseError(
                 f"migration snapshot write to {path!r} failed: "
@@ -1093,10 +1073,7 @@ class ShardWorker(FrameServer):
                    for row in frame.get("rows", [])]
         for record in records:
             self._check_routing(record.machine_name)
-        # The replacement keeps the old database's engine choice, so a
-        # columnar worker stays columnar across a test re-seed.
-        self.database = WhitePagesDatabase(records,
-                                           columnar=self.database.columnar)
+        self.database = WhitePagesDatabase(records)
         return {"kind": "ok", "machines": len(records)}
 
     def _verb_shutdown(self, frame: Dict[str, Any]) -> Dict[str, Any]:
@@ -1111,26 +1088,19 @@ class ShardWorker(FrameServer):
 # ---------------------------------------------------------------------------
 
 
-def _load_shard_database(snapshot_path: Optional[str],
-                         columnar: Optional[bool] = None):
+def _load_shard_database(snapshot_path: Optional[str]):
     """(database, wal watermark) for a worker cold start."""
     if not snapshot_path or not os.path.exists(snapshot_path):
-        return WhitePagesDatabase(columnar=bool(columnar)), 0
+        return WhitePagesDatabase(), 0
     from repro.database.persistence import loads_database, snapshot_wal_lsn
     with open(snapshot_path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    # sidecar_dir mirrors load_database: a v4 per-shard snapshot then
-    # mmap-attaches its column sidecar instead of rebuilding columns.
-    database = loads_database(
-        text, columnar=columnar,
-        sidecar_dir=os.path.dirname(os.path.abspath(snapshot_path)))
-    return database, snapshot_wal_lsn(text)
+    return loads_database(text), snapshot_wal_lsn(text)
 
 
 def run_shard_worker(shard_index: int, shards: int, host: str, port: int,
                      snapshot_path: Optional[str] = None,
                      ready_conn: Any = None,
-                     columnar: Optional[bool] = None,
                      wal_mode: str = "off",
                      wal_path: Optional[str] = None,
                      wal_interval: float = 0.0,
@@ -1141,14 +1111,10 @@ def run_shard_worker(shard_index: int, shards: int, host: str, port: int,
     """Process entry: own one shard, serve verbs until ``shutdown``.
 
     Builds the shard database (empty, or cold-started from a per-shard
-    v3/v4 snapshot file), binds the TCP endpoint, reports the bound
+    v3 snapshot file), binds the TCP endpoint, reports the bound
     port through ``ready_conn`` (a :func:`multiprocessing.Pipe` end) so
     the supervisor can hand out real endpoints even when ``port=0``,
     then serves until a ``shutdown`` verb or SIGTERM.
-
-    ``columnar`` is the persistence tri-state: ``None`` follows the
-    snapshot version (v4 → columns on), ``True``/``False`` force the
-    column kernel on or off for this worker.
 
     ``wal_mode``/``wal_path``/``wal_interval`` configure the write-ahead
     op log (:mod:`repro.database.wal`).  With a mode other than
@@ -1174,7 +1140,7 @@ def run_shard_worker(shard_index: int, shards: int, host: str, port: int,
     # Crash-point countdowns can arrive by env (shard-scoped), so tests
     # can kill a worker *during recovery* — e.g. mid-checkpoint replay.
     faults.install_from_env(shard_index)
-    database, watermark = _load_shard_database(snapshot_path, columnar)
+    database, watermark = _load_shard_database(snapshot_path)
     wal = None
     replayed = 0
     if wal_mode not in ("off", "async", "fsync"):

@@ -75,6 +75,9 @@ _BAD_FLEETS = {
     "retired_snapshot": (json.dumps({"format": "repro.whitepages",
                                      "version": 2, "machines": []}),
                          "DatabaseError: unsupported snapshot version"),
+    "v4_snapshot": (json.dumps({"format": "repro.whitepages",
+                                "version": 4, "machines": []}),
+                    "DatabaseError: unsupported snapshot version 4"),
     "missing": (None, "FileNotFoundError"),
 }
 

@@ -3,8 +3,8 @@ on-miss re-aggregation, and co-allocation.
 
 The paper marks these as gaps: its prototype never releases aggregations,
 and "advance reservations and co-allocation ... neither of which are
-currently supported by ActYP" (Section 8).  DESIGN.md §5 records them as
-implemented extensions.
+currently supported by ActYP" (Section 8).  This reproduction implements
+them as extensions.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ under randomized interleavings of mutations.
 
 from __future__ import annotations
 
-import random
 import string
 
 import pytest
@@ -37,7 +36,8 @@ from tests.conftest import linear_oracle
 _ARCHES = ("sun", "hp", "x86", "vax")
 _OSES = ("solaris", "hpux", "linux")
 _CMS = ("sge", "pbs", "condor", "sge,pbs", "pbs,condor", "")
-_MEMORIES = ("64", "128", "256", "512", "not-a-number", "nan", "inf")
+_MEMORIES = ("64", "128", "256", "512", "128,256", "not-a-number", "nan",
+             "inf")
 _NAMES = tuple(f"m{i:02d}" for i in range(12))
 
 
@@ -83,11 +83,13 @@ _ops = st.one_of(
 def _queries(draw) -> Query:
     clauses = []
     n = draw(st.integers(min_value=1, max_value=3))
+    # "gpus" is an attribute no machine carries: a numeric clause on it
+    # must match nothing on either path.
     keys = draw(st.permutations(
-        ("arch", "memory", "cms", "load", "freememory"))
+        ("arch", "memory", "cms", "load", "freememory", "state", "gpus"))
     )[:n]
     for key in keys:
-        if key in ("load", "freememory", "memory"):
+        if key in ("load", "freememory", "memory", "gpus"):
             op = draw(st.sampled_from(
                 [Op.EQ, Op.NE, Op.GE, Op.LE, Op.GT, Op.LT, Op.RANGE]))
             if op is Op.RANGE:
@@ -98,6 +100,12 @@ def _queries(draw) -> Query:
                 value = draw(st.sampled_from(_MEMORIES))
             else:
                 value = float(draw(st.integers(min_value=0, max_value=600)))
+                if draw(st.booleans()):
+                    # The language compares loosely: "256" >= 128.
+                    value = str(int(value))
+        elif key == "state":
+            op = draw(st.sampled_from([Op.EQ, Op.NE]))
+            value = draw(st.sampled_from(("up", "down")))
         else:
             op = draw(st.sampled_from([Op.EQ, Op.NE]))
             value = draw(st.sampled_from(

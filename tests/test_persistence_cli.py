@@ -188,19 +188,19 @@ class TestV3CompactSnapshot:
         assert MachineRecord.from_row(rec.to_row()) == rec
 
     def test_v3_restores_catalog(self, fleet_db):
-        text = dumps_database(fleet_db, version=3)
+        text = dumps_database(fleet_db)
         restored = loads_database(text)
         rebuilt = loads_database(text, use_index_snapshot=False)
         assert restored.index_stats() == rebuilt.index_stats()
 
     def test_row_schema_mismatch_rejected(self, small_db):
-        payload = json.loads(dumps_database(small_db, version=3))
+        payload = json.loads(dumps_database(small_db))
         payload["row_schema"] = payload["row_schema"][:-1]
         with pytest.raises(DatabaseError):
             loads_database(json.dumps(payload))
 
     def test_malformed_row_rejected(self, small_db):
-        payload = json.loads(dumps_database(small_db, version=3))
+        payload = json.loads(dumps_database(small_db))
         payload["machines"][0] = payload["machines"][0][:-1]  # short row
         with pytest.raises(DatabaseError):
             loads_database(json.dumps(payload))
@@ -208,7 +208,7 @@ class TestV3CompactSnapshot:
     def test_out_of_range_row_id_falls_back_to_rebuild(self, small_db):
         """A structurally broken row-id posting must be rejected at
         restore (silent rebuild), not crash the first probe."""
-        payload = json.loads(dumps_database(small_db, version=3))
+        payload = json.loads(dumps_database(small_db))
         attr = next(iter(payload["indexes"]["hash"]))
         token = next(iter(payload["indexes"]["hash"][attr]))
         payload["indexes"]["hash"][attr][token] = [999999]
@@ -219,7 +219,7 @@ class TestV3CompactSnapshot:
                        for r in linear_oracle(db, include_taken=True)]
 
     def test_corrupt_packed_array_falls_back_to_rebuild(self, small_db):
-        payload = json.loads(dumps_database(small_db, version=3))
+        payload = json.loads(dumps_database(small_db))
         attr = next(iter(payload["indexes"]["sorted"]))
         for corrupt in ("not/base64!!", "QUJD"):  # bad chars; 3b != k*4
             payload["indexes"]["sorted"][attr]["names"] = corrupt
@@ -232,7 +232,7 @@ class TestV3CompactSnapshot:
 
     def test_boolean_row_ids_fall_back_to_rebuild(self, small_db):
         """JSON true/false in a posting list must not index rows 1/0."""
-        payload = json.loads(dumps_database(small_db, version=3))
+        payload = json.loads(dumps_database(small_db))
         for attr, postings in payload["indexes"]["hash"].items():
             token = next(iter(postings))
             postings[token] = [True, False]
@@ -243,7 +243,7 @@ class TestV3CompactSnapshot:
                        for r in linear_oracle(db, include_taken=True)]
 
     def test_out_of_range_packed_sorted_id_falls_back(self, small_db):
-        payload = json.loads(dumps_database(small_db, version=3))
+        payload = json.loads(dumps_database(small_db))
         attr = next(iter(payload["indexes"]["sorted"]))
         n = len(payload["machines"])
         payload["indexes"]["sorted"][attr] = {
@@ -260,7 +260,7 @@ class TestV3CompactSnapshot:
                                 ("max_allowed_load", 0.0),
                                 ("current_load", -1.0),
                                 ("active_jobs", -2)]:
-            payload = json.loads(dumps_database(small_db, version=3))
+            payload = json.loads(dumps_database(small_db))
             col = RECORD_ROW_FIELDS.index(field_name)
             payload["machines"][0][col] = bad
             with pytest.raises(DatabaseError):
@@ -274,14 +274,14 @@ class TestV3CompactSnapshot:
             make_machine("m1", admin_parameters={"weight": "inf"}),
             make_machine("m2", admin_parameters={"weight": "inf"}),
         ])
-        restored = loads_database(dumps_database(db, version=3))
-        rebuilt = loads_database(dumps_database(db, version=3),
+        restored = loads_database(dumps_database(db))
+        rebuilt = loads_database(dumps_database(db),
                                  use_index_snapshot=False)
         assert restored.index_stats() == rebuilt.index_stats()
 
     def test_negative_flag_bits_rejected(self, small_db):
         from repro.database.records import RECORD_ROW_FIELDS
-        payload = json.loads(dumps_database(small_db, version=3))
+        payload = json.loads(dumps_database(small_db))
         col = RECORD_ROW_FIELDS.index("service_flag_bits")
         payload["machines"][0][col] = -1
         with pytest.raises(DatabaseError):
@@ -298,7 +298,7 @@ class TestV3CompactSnapshot:
             unpack_array("d", "QUJD")  # 3 bytes, not a multiple of 8
 
     def test_edited_row_fails_checksum_but_loads(self, small_db):
-        payload = json.loads(dumps_database(small_db, version=3))
+        payload = json.loads(dumps_database(small_db))
         payload["machines"][0][2] = 77.0  # current_load, hand-edited
         db = loads_database(json.dumps(payload))
         name = payload["machines"][0][0]
@@ -308,26 +308,24 @@ class TestV3CompactSnapshot:
                        for r in linear_oracle(db, include_taken=True)]
 
     def test_records_only_v3_loads(self, small_db):
-        payload = json.loads(dumps_database(small_db, version=3,
+        payload = json.loads(dumps_database(small_db,
                                             include_indexes=False))
         assert "indexes" not in payload
         assert len(loads_database(json.dumps(payload))) == len(small_db)
 
     def test_v3_dump_is_deterministic(self, small_db):
-        assert dumps_database(small_db, version=3) == \
-            dumps_database(small_db, version=3)
+        assert dumps_database(small_db) == \
+            dumps_database(small_db)
 
     def test_unknown_write_version_rejected(self, small_db):
-        with pytest.raises(DatabaseError):
-            dumps_database(small_db, version=4)
-        for retired in (1, 2):
-            with pytest.raises(DatabaseError,
-                               match="cannot write snapshot version"):
+        # v3 is the one writable format: the writers take no version.
+        for retired in (1, 2, 4):
+            with pytest.raises(TypeError):
                 dumps_database(small_db, version=retired)
 
     def test_v3_file_roundtrip(self, fleet_db, tmp_path):
         path = tmp_path / "fleet.v3.json"
-        save_database(fleet_db, path, version=3)
+        save_database(fleet_db, path)
         restored = load_database(path)
         assert restored.names() == fleet_db.names()
         assert restored.index_stats() == fleet_db.index_stats()

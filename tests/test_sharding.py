@@ -295,18 +295,26 @@ class TestSnapshotRoundTrip:
         assert re2.shard_count == 2
         assert re2.names() == small_db.names()
 
-    def test_v1_and_v2_files_are_refused_by_both_loaders(self, tmp_path):
-        """The retired dict-per-machine formats fail closed, by name —
-        never a traceback from a half-parsed row, never an empty
-        database."""
-        for version in (1, 2):
+    def test_v1_and_v2_files_are_refused_by_both_loaders(self, tmp_path,
+                                                          small_db):
+        """The retired formats fail closed, by name — never a traceback
+        from a half-parsed row, never an empty database.  v1/v2 are the
+        dict-per-machine formats; v4 is a v3 file plus a binary column
+        file beside it.  A worker cold start refuses them the same way."""
+        from repro.runtime.shard_worker import _load_shard_database
+        v4 = json.loads(dumps_database(small_db))
+        v4["version"] = 4
+        v4["columns"] = {"file": "v4.json.cols", "rows": len(small_db),
+                         "header_crc": 0}
+        for version in (1, 2, 4):
             path = tmp_path / f"v{version}.json"
-            path.write_text(json.dumps({
+            path.write_text(json.dumps(v4 if version == 4 else {
                 "format": "repro.whitepages",
                 "version": version,
                 "machines": [{"machine_name": "m00", "state": "up"}],
             }))
-            for loader in (load_database, load_sharded_database):
+            for loader in (load_database, load_sharded_database,
+                           lambda p: _load_shard_database(str(p))):
                 with pytest.raises(
                         DatabaseError,
                         match=f"unsupported snapshot version {version}"):
@@ -483,16 +491,17 @@ class TestCliSharding:
         assert not is_shard_manifest(out)
         assert len(loads_database(out.read_text())) == 16
 
-    @pytest.mark.parametrize("version", ("1", "2"))
+    @pytest.mark.parametrize("version", ("1", "2", "4"))
     def test_fleet_command_refuses_retired_snapshot_versions(
             self, tmp_path, capsys, version):
+        # v3 is the only format, so the fleet command has no version flag.
         from repro.cli import main
         out = tmp_path / "old.json"
         with pytest.raises(SystemExit) as exc:
             main(["fleet", "--size", "4", "--snapshot-version", version,
                   "--out", str(out)])
         assert exc.value.code == 2  # argparse usage error, no traceback
-        assert "invalid choice" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
 
