@@ -49,18 +49,20 @@ def scale() -> bool:
 
 @pytest.fixture(scope="session")
 def scale_records():
-    """``scale_records(n)``: the ``FleetSpec(size=n, seed=11,
-    stripe_pools=32)`` records the scale gates share, built once per
-    size for the whole session.  Records are immutable and the tuple
-    cannot be appended to, so each gate file builds its own database
-    from the same rows instead of regenerating the fleet."""
+    """``scale_records(n, stripe_pools=32)``: the ``FleetSpec(size=n,
+    seed=11, stripe_pools=stripe_pools)`` records the scale gates share,
+    built once per ``(n, stripe_pools)`` for the whole session.  Records
+    are immutable and the tuple cannot be appended to, so each gate file
+    builds its own database from the same rows instead of regenerating
+    the fleet."""
     cache = {}
 
-    def records(n: int) -> tuple:
-        if n not in cache:
-            cache[n] = tuple(build_fleet(
-                FleetSpec(size=n, seed=11, stripe_pools=32)))
-        return cache[n]
+    def records(n: int, stripe_pools: int = 32) -> tuple:
+        key = (n, stripe_pools)
+        if key not in cache:
+            cache[key] = tuple(build_fleet(
+                FleetSpec(size=n, seed=11, stripe_pools=stripe_pools)))
+        return cache[key]
 
     return records
 

@@ -38,7 +38,6 @@ from repro.core.scheduling import get_objective
 from repro.core.signature import pool_name_for
 from repro.database.indexes import AttributeIndexCatalog
 from repro.database.persistence import dumps_database, loads_database
-from repro.database.sharding import ShardedWhitePagesDatabase
 from repro.database.whitepages import WhitePagesDatabase
 from repro.fleet import FleetSpec, build_database
 
@@ -211,23 +210,6 @@ def measure() -> dict:
         return restored.match(plan)
 
     results["snapshot_v3_load_s"] = _median(v3_cold_start, 3)
-
-    # Sharded fan-out: an 8-shard serial match (fan out + name merge)
-    # and the routed point-write path.  Gated at 5x like every other op
-    # (the baseline was re-recorded with these keys); the bench-trend
-    # workflow archives the absolute timings.
-    sharded = ShardedWhitePagesDatabase(
-        [db.get(name) for name in db.names()], shards=8)
-    sharded.match(plan)  # warm
-    results["sharded_match_fanout_s"] = _median(
-        lambda: sharded.match(plan), 5)
-
-    def sharded_dynamic_burst():
-        for i, name in enumerate(names):
-            sharded.update_dynamic(name, current_load=float(i % 4))
-
-    results["sharded_update_dynamic_s"] = \
-        _median(sharded_dynamic_burst, 3) / len(names)
 
     # WAL crash recovery: recover a 5k-op write-ahead log (per-record
     # CRC check + JSON decode) and replay it into a fresh worker — the

@@ -21,7 +21,7 @@ from repro.config import ResourcePoolConfig
 from repro.core.language import parse_query
 from repro.core.resource_pool import ResourcePool
 from repro.core.signature import pool_name_for
-from repro.fleet import FleetSpec, build_database
+from repro.database.whitepages import WhitePagesDatabase
 
 from benchmarks.conftest import timed_median as _timed
 
@@ -33,8 +33,8 @@ STRIPES = 10  # N / 10 machines per pool
 QUERY_TEXT = "punch.rsrc.pool = p00"
 
 
-def _pool(linear: bool):
-    db, _ = build_database(FleetSpec(size=N, seed=11, stripe_pools=STRIPES))
+def _pool(records, linear: bool):
+    db = WhitePagesDatabase(records)
     query = parse_query(QUERY_TEXT).basic()
     pool = ResourcePool(
         pool_name_for(query), db, exemplar_query=query,
@@ -46,13 +46,18 @@ def _pool(linear: bool):
 
 
 @pytest.fixture(scope="module")
-def linear_pool():
-    return _pool(True)
+def records(scale_records):
+    return scale_records(N, stripe_pools=STRIPES)
 
 
 @pytest.fixture(scope="module")
-def indexed_pool():
-    return _pool(False)
+def linear_pool(records):
+    return _pool(records, True)
+
+
+@pytest.fixture(scope="module")
+def indexed_pool(records):
+    return _pool(records, False)
 
 
 def test_pools_aggregate_the_same_cache(linear_pool, indexed_pool):

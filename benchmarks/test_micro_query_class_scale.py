@@ -22,7 +22,7 @@ from repro.config import ResourcePoolConfig
 from repro.core.language import parse_query
 from repro.core.resource_pool import ResourcePool
 from repro.core.signature import pool_name_for
-from repro.fleet import FleetSpec, build_database
+from repro.database.whitepages import WhitePagesDatabase
 
 from benchmarks.conftest import timed_median as _timed
 
@@ -37,8 +37,8 @@ QUERY_TEXT = POOL_TEXT + "\npunch.appl.expectedmemoryuse = 300"
 RT_QUERY_TEXT = POOL_TEXT + "\npunch.appl.expectedcpuuse = 1200"
 
 
-def _pool(linear: bool, objective: str):
-    db, _ = build_database(FleetSpec(size=N, seed=11, stripe_pools=STRIPES))
+def _pool(records, linear: bool, objective: str):
+    db = WhitePagesDatabase(records)
     exemplar = parse_query(POOL_TEXT).basic()
     pool = ResourcePool(
         pool_name_for(exemplar), db, exemplar_query=exemplar,
@@ -49,13 +49,18 @@ def _pool(linear: bool, objective: str):
 
 
 @pytest.fixture(scope="module")
-def linear_pool():
-    return _pool(True, "best_fit_memory")
+def records(scale_records):
+    return scale_records(N, stripe_pools=STRIPES)
 
 
 @pytest.fixture(scope="module")
-def indexed_pool():
-    return _pool(False, "best_fit_memory")
+def linear_pool(records):
+    return _pool(records, True, "best_fit_memory")
+
+
+@pytest.fixture(scope="module")
+def indexed_pool(records):
+    return _pool(records, False, "best_fit_memory")
 
 
 def test_query_class_scan_order_5x_faster_than_linear(linear_pool,
@@ -117,11 +122,11 @@ def test_selection_sequence_matches_linear(linear_pool, indexed_pool):
             pi.release(a.access_key)
 
 
-def test_min_response_time_class_also_indexed(indexed_pool):
+def test_min_response_time_class_also_indexed(records, indexed_pool):
     """The second query-sensitive objective rides the same machinery:
     served from a class cache and equal to its own linear recompute."""
     _db, pi = indexed_pool
-    db2, p2 = _pool(False, "min_response_time")
+    db2, p2 = _pool(records, False, "min_response_time")
     query = parse_query(RT_QUERY_TEXT).basic()
     assert p2._indexed_usable(query)
     p2.scan_order(query)  # warm

@@ -4,7 +4,7 @@ Architecture for Wide-Area Network Computing* (HPDC 2001).
 The package implements the ActYP resource-management pipeline — query
 managers, pool managers, and dynamically aggregated resource pools — plus
 the substrates the pipeline itself runs on: the white-pages machine
-database (in process, sharded, or a fleet of shard-worker processes),
+database (in process, or hash-partitioned over shard-worker processes),
 resource monitoring, shadow accounts, a simulated network fabric, a
 discrete-event simulation kernel for the controlled experiments of
 Section 7, and an asyncio live runtime.

@@ -5,8 +5,11 @@ Commands
 - ``experiment figN [--paper-scale]`` — regenerate one paper figure and
   print its table.
 - ``fleet --size N --out fleet.json`` — generate and save a synthetic
-  white-pages snapshot.
-- ``serve --fleet fleet.json --port P`` — run the asyncio ActYP service.
+  white-pages snapshot (``--shards N``: a manifest plus one file per
+  shard).
+- ``serve --fleet fleet.json --port P`` — run the asyncio ActYP service
+  over one in-process database (loaded from a plain snapshot or a shard
+  manifest).
 - ``serve --shard-service "H:P,H:P"`` — same, but the white pages lives
   in already-running shard workers reached over the wire protocol.
 - ``shard-serve --shards N`` — run a supervised shard-worker fleet
@@ -42,16 +45,11 @@ import sys
 from typing import List, Optional
 
 from repro.fleet import FleetSpec, build_fleet
-from repro.database.persistence import (
-    atomic_write_text,
-    load_database,
-    save_database,
-)
+from repro.database.persistence import atomic_write_text
 from repro.database.records import MachineRecord
 from repro.database.sharding import (
-    ShardedWhitePagesDatabase,
-    is_shard_manifest,
     load_sharded_database,
+    partition,
     save_sharded_database,
 )
 from repro.database.whitepages import WhitePagesDatabase
@@ -78,15 +76,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     spec = FleetSpec(size=args.size, domain=args.domain,
                      stripe_pools=args.stripe_pools, seed=args.seed)
     records = build_fleet(spec)
-    if args.shards > 1:
-        db = ShardedWhitePagesDatabase(records, shards=args.shards)
-        paths = save_sharded_database(db, args.out)
-        print(f"wrote {len(db)} machines to {args.out} "
-              f"(v3, {args.shards} shards, {len(paths) - 1} shard files)")
-    else:
-        db = WhitePagesDatabase(records)
-        save_database(db, args.out)
-        print(f"wrote {len(db)} machines to {args.out} (v3)")
+    paths = save_sharded_database(partition(records, args.shards), args.out)
+    layout = (f", {args.shards} shards, {len(paths) - 1} shard files"
+              if args.shards > 1 else "")
+    print(f"wrote {len(records)} machines to {args.out} (v3{layout})")
     return 0
 
 
@@ -241,14 +234,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.database.service import ShardServiceClient, parse_endpoints
         db = ShardServiceClient(parse_endpoints(args.shard_service))
     elif args.fleet:
-        if args.shards > 1 or is_shard_manifest(args.fleet):
-            db = load_sharded_database(
-                args.fleet, shards=args.shards if args.shards > 1 else None)
-        else:
-            db = load_database(args.fleet)
-    elif args.shards > 1:
-        db = ShardedWhitePagesDatabase(
-            build_fleet(FleetSpec(size=args.size)), shards=args.shards)
+        db = load_sharded_database(args.fleet)
     else:
         db = WhitePagesDatabase(build_fleet(FleetSpec(size=args.size)))
     service = build_service(db, n_pool_managers=args.pool_managers)
@@ -536,9 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=7070)
     p_serve.add_argument("--pool-managers", type=int, default=2)
-    p_serve.add_argument("--shards", type=int, default=1,
-                         help="serve from a sharded database (snapshots "
-                              "are re-partitioned as needed)")
     p_serve.add_argument("--shard-service", metavar="ENDPOINTS",
                          help="serve from live shard workers instead of an "
                               "in-process database; comma-separated "

@@ -79,9 +79,9 @@ class ResourcePool:
         The pool's signature+identifier name.
     database:
         The white-pages database to walk at initialisation — a plain
-        :class:`WhitePagesDatabase` or the sharded facade
-        (:class:`~repro.database.sharding.ShardedWhitePagesDatabase`);
-        the pool only uses the duck-typed surface shared by both.
+        :class:`WhitePagesDatabase` or the shard service
+        (:class:`~repro.database.service.ShardServiceClient`); the pool
+        only uses the duck-typed surface shared by both.
     instance_number:
         This replica's number (0-based).
     replica_count:

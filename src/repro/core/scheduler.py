@@ -287,10 +287,9 @@ class IndexedPoolScheduler:
         :attr:`~repro.config.ResourcePoolConfig.max_query_classes`).
 
     The database may be a plain :class:`WhitePagesDatabase` or the
-    sharded facade: a pool's cache can span shards, so the scheduler's
-    own mutex — not the (per-shard) registry lock — protects the tier
+    shard-service client: the scheduler's own mutex protects the tier
     lists, and builds take ``database.exclusive()`` so no record change
-    on *any* shard can slip between build and subscription.
+    made through the database can slip between build and subscription.
     """
 
     def __init__(self, database: WhitePagesDatabase, cache: Sequence[str],
@@ -300,11 +299,9 @@ class IndexedPoolScheduler:
         self.database = database
         self.objective = objective
         self.max_query_classes = max(1, int(max_query_classes))
-        #: Protects the maintained orders.  Listeners on different
-        #: shards of a sharded database run under different registry
-        #: locks, so the registry lock alone cannot serialise them
-        #: against each other or against builds.  Lock order everywhere:
-        #: registry/shard locks first, this mutex second.
+        #: Protects the maintained orders against concurrent listener
+        #: calls and builds.  Lock order everywhere: the database's
+        #: ``exclusive()`` lock first, this mutex second.
         self._mutex = threading.RLock()
         #: name -> (tier, cache index): fixed pool membership, so a
         #: machine removed from the registry and later re-registered can
@@ -315,10 +312,10 @@ class IndexedPoolScheduler:
         #: query class key -> maintained order, LRU by last use.  Only
         #: populated for objectives that declare ``query_class``.
         self._classes: "OrderedDict[Hashable, _RankOrder]" = OrderedDict()
-        # Exclusive hold (the registry lock; every shard lock when
-        # sharded) serialises the build against concurrent record
-        # changes; subscribing inside the same hold means no change can
-        # slip between build and subscription.
+        # Exclusive hold (the registry lock, or the shard-service
+        # client's operation lock) serialises the build against
+        # concurrent record changes; subscribing inside the same hold
+        # means no change can slip between build and subscription.
         with database.exclusive():
             with self._mutex:
                 self._base = _RankOrder(

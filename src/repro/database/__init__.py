@@ -13,12 +13,14 @@ Public API:
   Figure 3 schema.
 - :class:`~repro.database.whitepages.WhitePagesDatabase` — registry with
   match/take/release operations.
-- :class:`~repro.database.sharding.ShardedWhitePagesDatabase` — the same
-  surface hash-partitioned across N shards, with fanned-out queries
-  and per-shard snapshots.
+- :mod:`~repro.database.sharding` — partitioning: the stable
+  :func:`~repro.database.sharding.shard_of` hash, ``partition`` of
+  records into per-shard groups, and per-shard snapshot manifests
+  (saved from partitions, loaded back into one database).
 - :class:`~repro.database.service.ShardServiceClient` /
   :class:`~repro.database.service.ShardSupervisor` — the persistent
-  shard service: the same surface again, but over live out-of-process
+  shard service: the same surface, but hash-partitioned over live
+  out-of-process
   :class:`~repro.runtime.shard_worker.ShardWorker` processes behind
   the wire protocol (import :mod:`repro.database.service` directly;
   kept out of this namespace so the core database layer does not pull
@@ -38,9 +40,9 @@ from repro.database.indexes import AttributeIndexCatalog
 from repro.database.records import MachineRecord
 from repro.database.whitepages import WhitePagesDatabase
 from repro.database.sharding import (
-    ShardedWhitePagesDatabase,
     WhitePages,
     load_sharded_database,
+    partition,
     save_sharded_database,
     shard_of,
 )
@@ -53,9 +55,9 @@ __all__ = [
     "MachineRecord",
     "AttributeIndexCatalog",
     "WhitePagesDatabase",
-    "ShardedWhitePagesDatabase",
     "WhitePages",
     "shard_of",
+    "partition",
     "save_sharded_database",
     "load_sharded_database",
     "LocalDirectoryService",

@@ -45,8 +45,9 @@ import gc
 import json
 import os
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.database.indexes import AttributeIndexCatalog, pack_array
 from repro.database.records import MachineRecord, RECORD_ROW_FIELDS
@@ -54,8 +55,8 @@ from repro.database.whitepages import WhitePagesDatabase
 from repro.errors import DatabaseError
 
 __all__ = ["save_database", "load_database", "dumps_database",
-           "loads_database", "restore_catalog", "snapshot_wal_lsn",
-           "atomic_write_text"]
+           "loads_database", "loads_records", "restore_catalog",
+           "snapshot_wal_lsn", "atomic_write_text"]
 
 #: The one snapshot format this code writes and reads.
 _FORMAT_VERSION = 3
@@ -202,28 +203,48 @@ def restore_catalog(payload: Dict[str, Any],
         return None
 
 
-def loads_database(text: str, *, use_index_snapshot: bool = True
-                   ) -> WhitePagesDatabase:
-    """Parse a v3 snapshot into a database.
-
-    Collection is paused for the duration: a bulk load allocates
-    millions of long-lived containers and no cycles, so letting the
-    generational GC walk the growing heap on its usual thresholds
-    multiplies load time several-fold for nothing.
-    """
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause collection for a bulk load: it allocates millions of
+    long-lived containers and no cycles, so letting the generational GC
+    walk the growing heap on its usual thresholds multiplies load time
+    several-fold for nothing."""
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
     try:
-        return _loads_database_inner(
-            text, use_index_snapshot=use_index_snapshot)
+        yield
     finally:
         if gc_was_enabled:
             gc.enable()
 
 
-def _loads_database_inner(text: str, *, use_index_snapshot: bool
-                          ) -> WhitePagesDatabase:
+def loads_database(text: str, *, use_index_snapshot: bool = True
+                   ) -> WhitePagesDatabase:
+    """Parse a v3 snapshot into a database."""
+    with _gc_paused():
+        payload, records = _parse_snapshot(text)
+        catalog = restore_catalog(
+            payload, records, machines_text=_raw_machines_span(text)) \
+            if use_index_snapshot else None
+        return _restore_taken(WhitePagesDatabase(records, catalog=catalog),
+                              payload)
+
+
+def loads_records(text: str) -> Tuple[List[MachineRecord], Dict[str, str]]:
+    """The records and machine→pool holder map of a v3 snapshot, with
+    no database (and so no index catalog) built — for callers that
+    merge or re-partition snapshots."""
+    with _gc_paused():
+        payload, records = _parse_snapshot(text)
+    taken = payload.get("taken")
+    holders = {str(k): str(v) for k, v in taken.items()} \
+        if isinstance(taken, dict) else {}
+    return records, holders
+
+
+def _parse_snapshot(text: str) -> Tuple[Dict[str, Any], List[MachineRecord]]:
+    """The validated payload and decoded records of a v3 snapshot."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -243,11 +264,7 @@ def _loads_database_inner(text: str, *, use_index_snapshot: bool
         records = [from_row(row) for row in payload.get("machines", [])]
     except (KeyError, ValueError, TypeError, IndexError) as exc:
         raise DatabaseError(f"malformed v3 machine row: {exc}") from exc
-    catalog = restore_catalog(
-        payload, records, machines_text=_raw_machines_span(text)) \
-        if use_index_snapshot else None
-    return _restore_taken(WhitePagesDatabase(records, catalog=catalog),
-                          payload)
+    return payload, records
 
 
 def _restore_taken(db: WhitePagesDatabase,

@@ -222,23 +222,20 @@ class ShardMigrator:
 
     def _seed_targets(self) -> None:
         """Phase 2: re-partition the snapshots into per-target seeds."""
-        from repro.database.persistence import load_database, save_database
-        from repro.database.sharding import ShardedWhitePagesDatabase
+        from repro.database.persistence import loads_records, save_database
+        from repro.database.sharding import partition, shard_database
         sup = self.supervisor
         records = []
         holders: Dict[str, str] = {}
         for path in self._src_paths:
-            db = load_database(path)
-            records.extend(db.get(name) for name in db.names())
-            holders.update(db.holders())
-        sharded = ShardedWhitePagesDatabase(records, shards=self.new_shards)
-        for name, pool in holders.items():
-            # The records-based constructor starts everything free;
-            # holder state rides the snapshot's taken-map instead.
-            sharded.take(name, pool)
-        for j, shard_db in enumerate(sharded.shards):
+            src_records, src_holders = loads_records(
+                path.read_text(encoding="utf-8"))
+            records.extend(src_records)
+            holders.update(src_holders)
+        parts = partition(records, self.new_shards, holders)
+        for j, (group, group_holders) in enumerate(parts):
             path = sup._dir / f"reshard_seed_{j}.e{self.new_epoch}.json"
-            save_database(shard_db, path)
+            save_database(shard_database(group, group_holders), path)
             self._seed_paths.append(path)
 
     def _spawn_targets(self) -> None:

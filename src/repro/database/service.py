@@ -7,7 +7,7 @@ Two halves:
   :class:`~repro.runtime.shard_worker.ShardWorker`
   endpoints.  Point operations route by CRC-32 of the machine name
   (the same :func:`~repro.database.sharding.shard_of` partition the
-  in-process sharded database and the per-shard snapshot manifest use);
+  per-shard snapshot manifest uses);
   queries fan out concurrently over the worker sockets and merge in
   machine-name order, reproducing the single-shard engine's result
   exactly.  Pools, :class:`~repro.core.scheduler.IndexedPoolScheduler`,
@@ -15,8 +15,8 @@ Two halves:
   unchanged.
 - :class:`ShardSupervisor` — spawns the worker processes, seeds them
   from per-shard v3 snapshot files, health-checks them, and restarts a
-  dead worker from its last checkpoint (the PR 4 manifest format, so a
-  checkpoint directory is also loadable in-process via
+  dead worker from its last checkpoint (the per-shard manifest format,
+  so a checkpoint is also loadable in-process, as one database, via
   :func:`~repro.database.sharding.load_sharded_database`).
 
 Semantics and scope
@@ -61,6 +61,7 @@ safe even for non-idempotent verbs.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import multiprocessing
@@ -87,14 +88,12 @@ import repro.errors as _errors
 from repro.database.records import MachineRecord
 from repro.database.sharding import (
     RoutingTable,
-    ShardedWhitePagesDatabase,
-    _merge_by_name,
-    _merge_names,
     _MANIFEST_FORMAT,
     _MANIFEST_VERSION,
     _PARTITION_CRC32,
     _shard_file_name,
     is_shard_manifest,
+    partition,
     save_sharded_database,
 )
 from repro.database.wal import WAL_MODES
@@ -152,6 +151,27 @@ def parse_endpoints(spec: str) -> List[Tuple[str, int]]:
     if not endpoints:
         raise ConfigError("no shard endpoints given")
     return endpoints
+
+
+def _merge_by_name(parts: Sequence[List[MachineRecord]]
+                   ) -> List[MachineRecord]:
+    """Merge per-shard name-ordered record lists into one global order.
+
+    Shards partition the name space, so an N-way merge of sorted runs is
+    exactly the sorted concatenation — the single database's order.
+    """
+    live = [p for p in parts if p]
+    if len(live) == 1:
+        return live[0]
+    return list(heapq.merge(*live, key=lambda r: r.machine_name))
+
+
+def _merge_names(parts: Sequence[List[str]]) -> List[str]:
+    """Same merge for bare name lists (``names()`` / ``match_names()``)."""
+    live = [p for p in parts if p]
+    if len(live) <= 1:
+        return live[0] if live else []
+    return list(heapq.merge(*live))
 
 
 def _raise_remote(reply: Dict[str, Any]) -> None:
@@ -1113,8 +1133,8 @@ class ShardSupervisor:
         Worker count (one live shard each).
     snapshot_dir:
         Directory for seed and checkpoint files.  The supervisor writes
-        PR 4's per-shard v3 manifest layout here, so a checkpoint is
-        also loadable in-process via :func:`load_sharded_database`.
+        the per-shard v3 manifest layout here, so a checkpoint is also
+        loadable in-process via :func:`load_sharded_database`.
     records:
         Initial fleet.  Seeded via per-shard snapshot files — workers
         cold-start from disk in parallel instead of replaying one
@@ -1212,9 +1232,8 @@ class ShardSupervisor:
             return
         self._dir.mkdir(parents=True, exist_ok=True)
         manifest = self._manifest_path("seed")
-        db = ShardedWhitePagesDatabase(self._seed_records,
-                                       shards=self.shards)
-        written = save_sharded_database(db, manifest)
+        written = save_sharded_database(
+            partition(self._seed_records, self.shards), manifest)
         if self.shards == 1:
             self._snapshots[0] = written[0]
         else:
@@ -1496,9 +1515,8 @@ class ShardSupervisor:
         The snapshot text never crosses the wire — each worker writes
         its own file (atomic rename) and reports the CRC the manifest
         needs.  The per-shard captures run under the client's exclusive
-        hold, mirroring :func:`save_sharded_database`'s guarantee that
-        a concurrent multi-shard mutation (through this client) cannot
-        straddle two shard files.
+        hold, so a concurrent multi-shard mutation (through this client)
+        cannot straddle two shard files.
 
         After a live reshard the manifest also records the routing
         ``epoch``, so a cold restart adopts the post-reshard topology.

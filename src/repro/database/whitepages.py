@@ -260,9 +260,9 @@ class WhitePagesDatabase:
         """The registry lock, for callers that must make several
         operations atomic (snapshot capture, scheduler attachment).
 
-        The sharded facade (:mod:`repro.database.sharding`) implements
-        the same method by acquiring every shard lock in shard order;
-        code written against ``exclusive()`` works on either database.
+        The shard-service client (:mod:`repro.database.service`)
+        implements the same method with its operation lock; code
+        written against ``exclusive()`` works on either database.
         """
         return self._lock
 
@@ -308,8 +308,8 @@ class WhitePagesDatabase:
 
     def count(self, plan: Any = None, *, include_taken: bool = False) -> int:
         """Number of records a plan matches (the fan-out-friendly form:
-        a sharded fan-out ships one integer per shard instead of the
-        record lists)."""
+        a shard-service fan-out ships one integer per shard instead of
+        the record lists)."""
         return len(self.match(plan, include_taken=include_taken))
 
     def _plan_candidates(self, plan: "QueryPlan", include_taken: bool

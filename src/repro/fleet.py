@@ -138,21 +138,12 @@ def build_database(
     spec: Optional[FleetSpec] = None,
     *,
     with_shadows: bool = False,
-    shards: int = 1,
 ):
-    """Build a white-pages database (and optionally shadow registry).
-
-    ``shards > 1`` partitions the fleet across a
-    :class:`~repro.database.sharding.ShardedWhitePagesDatabase`; the
-    default stays a plain single-shard :class:`WhitePagesDatabase`.
-    """
+    """Build a :class:`WhitePagesDatabase` (and optionally shadow
+    registry) over a synthetic fleet."""
     spec = spec or FleetSpec()
     records = build_fleet(spec)
-    if shards > 1:
-        from repro.database.sharding import ShardedWhitePagesDatabase
-        db = ShardedWhitePagesDatabase(records, shards=shards)
-    else:
-        db = WhitePagesDatabase(records)
+    db = WhitePagesDatabase(records)
     registry: Optional[ShadowAccountRegistry] = None
     if with_shadows:
         registry = ShadowAccountRegistry()

@@ -28,11 +28,8 @@ import pytest
 
 from repro.database.records import MachineRecord
 from repro.database.service import ShardServiceClient, ShardSupervisor
-from repro.database.sharding import (
-    RoutingTable,
-    ShardedWhitePagesDatabase,
-    shard_of,
-)
+from repro.database.sharding import RoutingTable, shard_of
+from repro.database.whitepages import WhitePagesDatabase
 from repro.database.fields import MachineState
 from repro.errors import ConfigError, DatabaseError, StaleRoutingError
 
@@ -144,7 +141,7 @@ class TestReshardedHistoryMatchesOracle:
         ops = _random_ops(rng, 60, names)
         split_at, merge_at = len(ops) // 3, (2 * len(ops)) // 3
 
-        oracle = ShardedWhitePagesDatabase(base, shards=2)
+        oracle = WhitePagesDatabase(base)
         with ShardSupervisor(2, snapshot_dir=tmp_path, records=base,
                              wal="fsync").start() as sup:
             client = sup.client()

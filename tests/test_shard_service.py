@@ -3,7 +3,7 @@
 The load-bearing property (mirrors ``test_sharding``): for ANY mutation
 history and ANY query, a :class:`ShardServiceClient` over N live
 workers at N ∈ {1, 2, 8} must return *exactly* the records, in
-*exactly* the order, of the in-process engines — moving a shard out of
+*exactly* the order, of one in-process database — moving a shard out of
 process is a deployment decision, never a semantic one.  Error paths
 must be type-identical too (a worker-side ``UnknownMachineError``
 re-raises as ``UnknownMachineError`` at the client).
@@ -36,11 +36,7 @@ from repro.database.service import (
     ShardSupervisor,
     parse_endpoints,
 )
-from repro.database.sharding import (
-    ShardedWhitePagesDatabase,
-    load_sharded_database,
-    shard_of,
-)
+from repro.database.sharding import load_sharded_database, shard_of
 from repro.runtime import faults
 from repro.database.whitepages import WhitePagesDatabase
 from repro.errors import (
@@ -197,7 +193,7 @@ class TestRemoteEquivalence:
         for n, sup in services.items():
             client = sup.client()
             client.reset(initial)
-            local = ShardedWhitePagesDatabase(initial, shards=n)
+            local = WhitePagesDatabase(initial)
             for op in ops:
                 _apply_both(local, client, op)
             got = client.match(plan, include_taken=include_taken)
@@ -687,7 +683,7 @@ class TestCrashExactRecovery:
         plan = faults.FaultPlan.random(seed, len(ops), kills=3)
         checkpoint_at = len(ops) // 2
 
-        oracle = ShardedWhitePagesDatabase(base, shards=n)
+        oracle = WhitePagesDatabase(base)
         with ShardSupervisor(n, snapshot_dir=tmp_path, records=base,
                              wal="fsync").start() as sup:
             client = sup.client()

@@ -1,16 +1,19 @@
-"""Sharded white-pages database: routing, fan-out merge equivalence,
-and per-shard snapshots.
+"""Partitioning: routing, per-shard snapshot manifests, and pools and
+queries over a partitioned white pages.
 
 The load-bearing property: for ANY mutation history and ANY query, a
-sharded database at N ∈ {1, 2, 8} must return *exactly* the records, in
-*exactly* the order, of the single-shard engine — sharding is a layout
-decision, never a semantic one.  Same for the round trip through the
-per-shard snapshot manifest.
+4-shard service, and a database partitioned at N ∈ {1, 2, 8}, saved
+and loaded back from its manifest, must return *exactly* the records,
+in *exactly* the order, of one database — sharding is a layout
+decision, never a semantic one.
 """
 
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -29,10 +32,11 @@ from repro.database.persistence import (
     loads_database,
 )
 from repro.database.records import MachineRecord
+from repro.database.service import ShardSupervisor
 from repro.database.sharding import (
-    ShardedWhitePagesDatabase,
     is_shard_manifest,
     load_sharded_database,
+    partition,
     save_sharded_database,
     shard_of,
 )
@@ -119,8 +123,8 @@ def _apply(db, op) -> None:
         pass
 
 
-def _apply_both(single, sharded, op) -> None:
-    """Apply ``op`` to both layouts; outcomes must agree exactly."""
+def _apply_both(single, remote, op) -> None:
+    """Apply ``op`` to both databases; outcomes must agree exactly."""
     kind = op[0]
 
     def run(db):
@@ -140,13 +144,22 @@ def _apply_both(single, sharded, op) -> None:
     except Exception as exc:  # noqa: BLE001 - equivalence oracle
         a, a_exc = None, type(exc)
     try:
-        b = run(sharded)
+        b = run(remote)
         b_exc = None
     except Exception as exc:  # noqa: BLE001 - equivalence oracle
         b, b_exc = None, type(exc)
     assert a_exc is b_exc
     if kind == "take":
         assert a == b
+
+
+@pytest.fixture(scope="module")
+def remote4(tmp_path_factory):
+    """A 4-worker shard service, reset by each test that uses it."""
+    sup = ShardSupervisor(4, snapshot_dir=tmp_path_factory.mktemp("svc4"))
+    sup.start()
+    yield sup.client()
+    sup.stop()
 
 
 class TestRouting:
@@ -159,27 +172,43 @@ class TestRouting:
         assert shard_of("anything", 1) == 0
 
     def test_records_land_on_their_shard(self):
-        db = ShardedWhitePagesDatabase(
-            [_record(n, "sun", "128", 0.0, True) for n in _NAMES], shards=8)
-        for i, shard in enumerate(db.shards):
-            for name in shard.names():
+        records = [_record(n, "sun", "128", 0.0, True) for n in _NAMES]
+        holders = {"m03": "poolA", "m07": "poolB"}
+        parts = partition(records, 8, holders)
+        assert len(parts) == 8
+        assert sorted(r.machine_name for group, _ in parts
+                      for r in group) == list(_NAMES)
+        for i, (group, group_holders) in enumerate(parts):
+            for record in group:
+                assert shard_of(record.machine_name, 8) == i
+            for name in group_holders:
                 assert shard_of(name, 8) == i
+        assert {k: v for _, h in parts for k, v in h.items()} == holders
 
     def test_bad_shard_counts_rejected(self):
         with pytest.raises(ConfigError):
-            ShardedWhitePagesDatabase(shards=0)
+            partition([], 0)
         with pytest.raises(ConfigError):
-            ShardedWhitePagesDatabase(shards=100_000)
+            partition([], 100_000)
 
-    def test_from_shard_databases_validates_routing(self):
-        rec = _record("m00", "sun", "128", 0.0, True)
-        wrong = [WhitePagesDatabase(), WhitePagesDatabase()]
-        wrong[1 - shard_of("m00", 2)].add(rec)
-        with pytest.raises(DatabaseError, match="routes"):
-            ShardedWhitePagesDatabase.from_shard_databases(wrong)
+    def test_manifest_with_misrouted_record_is_refused(self, tmp_path):
+        """A manifest whose shard files were swapped would seed workers
+        that mis-route every point op: the loader names the record."""
+        records = [_record(n, "sun", "128", 0.0, True) for n in _NAMES]
+        path = tmp_path / "fleet.json"
+        save_sharded_database(partition(records, 2), path)
+        manifest = json.loads(path.read_text())
+        manifest["files"].reverse()
+        manifest["checksums"].reverse()
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DatabaseError, match="routes to shard"):
+            load_sharded_database(path)
 
 
 class TestMatchEquivalence:
+    """A 4-shard service answers exactly like one database: the merge
+    by name reproduces its order, under arbitrary mutation histories."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         initial=st.lists(_records, max_size=10,
@@ -188,32 +217,24 @@ class TestMatchEquivalence:
         query=_queries(),
         include_taken=st.booleans(),
     )
-    def test_sharded_match_equals_single_shard(self, initial, ops, query,
-                                               include_taken):
-        """The acceptance property: same result set, same deterministic
-        order, at every shard count, under arbitrary mutation
-        histories."""
+    def test_sharded_match_equals_single_shard(self, remote4, initial, ops,
+                                               query, include_taken):
         single = WhitePagesDatabase(initial)
-        shardeds = [ShardedWhitePagesDatabase(initial, shards=n)
-                    for n in SHARD_COUNTS]
+        remote4.reset(initial)
         for op in ops:
             _apply(single, op)
-            for sharded in shardeds:
-                _apply(sharded, op)
+            _apply(remote4, op)
         plan = compile_plan(query)
         want = [r.machine_name
                 for r in single.match(plan, include_taken=include_taken)]
-        want_count = len(want)
-        for n, sharded in zip(SHARD_COUNTS, shardeds):
-            got = [r.machine_name
-                   for r in sharded.match(plan, include_taken=include_taken)]
-            assert got == want, f"shards={n}"
-            assert sharded.count(plan, include_taken=include_taken) == \
-                want_count
-            assert sharded.names() == single.names()
-            assert sharded.free_names() == single.free_names()
-            assert len(sharded) == len(single)
-            assert sharded.taken_count() == single.taken_count()
+        got = [r.machine_name
+               for r in remote4.match(plan, include_taken=include_taken)]
+        assert got == want
+        assert remote4.count(plan, include_taken=include_taken) == len(want)
+        assert remote4.names() == single.names()
+        assert remote4.free_names() == single.free_names()
+        assert len(remote4) == len(single)
+        assert remote4.taken_count() == single.taken_count()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -221,12 +242,12 @@ class TestMatchEquivalence:
                          unique_by=lambda r: r.machine_name),
         ops=st.lists(_ops, max_size=20),
     )
-    def test_error_paths_equivalent(self, initial, ops):
+    def test_error_paths_equivalent(self, remote4, initial, ops):
         single = WhitePagesDatabase(initial)
-        sharded = ShardedWhitePagesDatabase(initial, shards=8)
+        remote4.reset(initial)
         for op in ops:
-            _apply_both(single, sharded, op)
-        assert sharded.names() == single.names()
+            _apply_both(single, remote4, op)
+        assert remote4.names() == single.names()
 
 
 class TestSnapshotRoundTrip:
@@ -251,49 +272,36 @@ class TestSnapshotRoundTrip:
         want = [r.machine_name for r in oracle.match(plan,
                                                      include_taken=True)]
         for n in SHARD_COUNTS:
-            sharded = ShardedWhitePagesDatabase(records, shards=n)
-            # Snapshots round-trip holder state (ISSUE 7): give the
-            # sharded copy the same takes so the oracle comparison
-            # covers the untaken-only match path too.
-            for name, pool in single.holders().items():
-                assert sharded.take(name, pool)
+            # Snapshots round-trip holder state: the partitions carry
+            # the same takes so the oracle comparison covers the
+            # untaken-only match path too.
             path = tmp_path / f"fleet{n}.json"
-            save_sharded_database(sharded, path)
+            written = save_sharded_database(
+                partition(records, n, single.holders()), path)
+            assert len(written) == (1 if n == 1 else n + 1)
             loaded = load_sharded_database(path)
-            assert loaded.shard_count == n
+            assert isinstance(loaded, WhitePagesDatabase)
             assert loaded.names() == oracle.names()
+            assert loaded.holders() == oracle.holders()
             assert [loaded.get(name) for name in loaded.names()] == \
                 [oracle.get(name) for name in oracle.names()]
             got = [r.machine_name
                    for r in loaded.match(plan, include_taken=True)]
             assert got == want
-            # Index-equivalence: per-shard catalogs cover exactly the
-            # shard's records and answer the untaken-only path too.
-            stats = (loaded.index_stats() if n > 1
-                     else loaded.shards[0].index_stats())
-            assert stats["machines"] == len(oracle)
+            # Index-equivalence: the loaded catalog covers every record
+            # and answers the untaken-only path too.
+            assert loaded.index_stats()["machines"] == len(oracle)
             assert [r.machine_name for r in loaded.match(plan)] == \
                 [r.machine_name for r in oracle.match(plan)]
 
     def test_single_shard_save_is_plain_snapshot(self, tmp_path, small_db):
-        sharded = ShardedWhitePagesDatabase(
-            [small_db.get(n) for n in small_db.names()], shards=1)
+        records = [small_db.get(n) for n in small_db.names()]
         path = tmp_path / "flat.json"
-        written = save_sharded_database(sharded, path)
+        written = save_sharded_database(partition(records, 1), path)
         assert written == [path]
         assert not is_shard_manifest(path)
         # Loads through the plain single-file path as well.
         assert len(loads_database(path.read_text())) == len(small_db)
-
-    def test_manifest_detection_and_reshard_on_load(self, tmp_path, small_db):
-        records = [small_db.get(n) for n in small_db.names()]
-        sharded = ShardedWhitePagesDatabase(records, shards=4)
-        path = tmp_path / "fleet.json"
-        save_sharded_database(sharded, path)
-        assert is_shard_manifest(path)
-        re2 = load_sharded_database(path, shards=2)
-        assert re2.shard_count == 2
-        assert re2.names() == small_db.names()
 
     def test_v1_and_v2_files_are_refused_by_both_loaders(self, tmp_path,
                                                           small_db):
@@ -322,9 +330,8 @@ class TestSnapshotRoundTrip:
 
     def test_corrupt_shard_file_is_rejected(self, tmp_path, small_db):
         records = [small_db.get(n) for n in small_db.names()]
-        sharded = ShardedWhitePagesDatabase(records, shards=2)
         path = tmp_path / "fleet.json"
-        written = save_sharded_database(sharded, path)
+        written = save_sharded_database(partition(records, 2), path)
         shard_file = written[1]
         shard_file.write_text(shard_file.read_text() + " ")
         with pytest.raises(DatabaseError, match="checksum"):
@@ -333,60 +340,83 @@ class TestSnapshotRoundTrip:
     def test_missing_shard_file_is_rejected(self, tmp_path, small_db):
         records = [small_db.get(n) for n in small_db.names()]
         path = tmp_path / "fleet.json"
-        written = save_sharded_database(
-            ShardedWhitePagesDatabase(records, shards=2), path)
+        written = save_sharded_database(partition(records, 2), path)
         written[1].unlink()
         with pytest.raises(DatabaseError, match="missing shard file"):
             load_sharded_database(path)
 
-    def test_multi_shard_whole_file_dump_refuses(self, small_db):
-        sharded = ShardedWhitePagesDatabase(
-            [small_db.get(n) for n in small_db.names()], shards=2)
-        with pytest.raises(DatabaseError):
-            dumps_database(sharded)
-        with pytest.raises(DatabaseError):
-            sharded.catalog_snapshot()
+    def test_crash_before_rename_keeps_old_manifest(self, tmp_path):
+        """Rewriting a manifest is crash-safe: a process killed at the
+        first ``checkpoint.before_rename`` (first shard file written to
+        its tmp name, nothing renamed) leaves the old manifest and
+        shard files loading with the old contents."""
+        old = [_record(n, "sun", "128", 0.0, True) for n in _NAMES]
+        path = tmp_path / "fleet.json"
+        save_sharded_database(partition(old, 2), path)
+        script = textwrap.dedent(f"""
+            from repro.database.records import MachineRecord
+            from repro.database.sharding import (
+                partition, save_sharded_database)
+            from repro.runtime import faults
+            records = [MachineRecord(machine_name=f"new{{i}}")
+                       for i in range(5)]
+            faults.install(faults.FaultInjector(
+                {{"checkpoint.before_rename": 1}}))
+            save_sharded_database(partition(records, 2), {str(path)!r})
+        """)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0, "the armed crash point never fired"
+        loaded = load_sharded_database(path)
+        assert loaded.names() == list(_NAMES)
+        assert [loaded.get(n) for n in loaded.names()] == old
 
 
 _POOL_QUERY = Query(clauses=(Clause("punch", "rsrc", "arch", Op.EQ, "sun"),))
 
 
-def _sharded_pool_fixture(linear: bool, shards: int, objective="least_load"):
-    records = [
-        MachineRecord(
-            machine_name=f"pm{i:02d}",
-            current_load=float(i % 3),
-            available_memory_mb=float(128 << (i % 4)),
-            num_cpus=1 + i % 2,
-            admin_parameters={"arch": "sun"},
-        )
-        for i in range(12)
-    ]
-    db = (WhitePagesDatabase(records) if shards == 1
-          else ShardedWhitePagesDatabase(records, shards=shards))
+_POOL_RECORDS = [
+    MachineRecord(
+        machine_name=f"pm{i:02d}",
+        current_load=float(i % 3),
+        available_memory_mb=float(128 << (i % 4)),
+        num_cpus=1 + i % 2,
+        admin_parameters={"arch": "sun"},
+    )
+    for i in range(12)
+]
+
+
+def _pool_over(db, linear: bool, label: str, objective="least_load"):
     pool = ResourcePool(
-        PoolName(signature="sig", identifier=f"shard{shards}"), db,
+        PoolName(signature="sig", identifier=label), db,
         config=ResourcePoolConfig(objective=objective, linear_scan=linear),
         exemplar_query=_POOL_QUERY,
     )
     pool.initialize()
-    return db, pool
+    return pool
 
 
 class TestPoolsOverShardedDatabase:
+    """Pools over the shard service at N=4 schedule exactly like the
+    same pool over one in-process database."""
+
     @settings(max_examples=40, deadline=None)
     @given(loads=st.lists(
         st.tuples(st.sampled_from([f"pm{i:02d}" for i in range(12)]),
                   st.floats(min_value=0.0, max_value=6.0, allow_nan=False)),
         max_size=20))
-    def test_indexed_scheduler_equivalent_across_shards(self, loads):
+    def test_indexed_scheduler_equivalent_across_shards(self, remote4,
+                                                        loads):
         """A pool cache spanning shards must schedule exactly like the
-        same pool over a single-shard database, linear or indexed."""
-        db_lin, pool_lin = _sharded_pool_fixture(True, 1)
-        db_idx, pool_idx = _sharded_pool_fixture(False, 4)
+        same pool over a single database, linear vs indexed."""
+        remote4.reset(_POOL_RECORDS)
+        db_lin = WhitePagesDatabase(_POOL_RECORDS)
+        pool_lin = _pool_over(db_lin, True, "lin")
+        pool_idx = _pool_over(remote4, False, "idx")
         for name, load in loads:
             db_lin.update_dynamic(name, current_load=load)
-            db_idx.update_dynamic(name, current_load=load)
+            remote4.update_dynamic(name, current_load=load)
             assert pool_idx.scan_order(_POOL_QUERY) == \
                 pool_lin.scan_order(_POOL_QUERY)
         a = pool_lin.allocate(_POOL_QUERY)
@@ -394,14 +424,15 @@ class TestPoolsOverShardedDatabase:
         assert a.machine_name == b.machine_name
         pool_lin.destroy()
         pool_idx.destroy()
-        assert db_idx.listener_stats()["subscription_entries"] == 0
+        assert remote4.listener_stats()["subscription_entries"] == 0
 
-    def test_take_release_spans_shards(self):
-        db, pool = _sharded_pool_fixture(False, 8)
+    def test_take_release_spans_shards(self, remote4):
+        remote4.reset(_POOL_RECORDS)
+        pool = _pool_over(remote4, False, "span")
         assert pool.size == 12
-        assert db.taken_count() == 12
-        assert db.release_pool(pool.name.full) == 12
-        assert db.taken_count() == 0
+        assert remote4.taken_count() == 12
+        assert remote4.release_pool(pool.name.full) == 12
+        assert remote4.taken_count() == 0
 
 
 class TestQueryClassCapConfig:
@@ -445,20 +476,20 @@ class TestQueryClassCapConfig:
 
 
 class TestListenerTierRemoval:
-    """The PR 4-deprecated ``add_listener`` wildcard tier is gone: the
-    subscription map is the only listener surface on both layouts."""
+    """The deprecated ``add_listener`` wildcard tier is gone: the
+    subscription map is the only listener surface on both white-pages
+    flavours."""
 
     def test_add_listener_is_gone(self, small_db):
+        from repro.database.service import ShardServiceClient
         assert not hasattr(small_db, "add_listener")
-        sharded = ShardedWhitePagesDatabase(
-            [_record(n, "sun", "128", 0.0, True) for n in _NAMES], shards=4)
-        assert not hasattr(sharded, "add_listener")
+        assert not hasattr(ShardServiceClient, "add_listener")
 
     def test_subscription_covers_the_old_contract(self):
         """A consumer that wants every change subscribes to every name —
         same notifications the wildcard tier delivered."""
-        db = ShardedWhitePagesDatabase(
-            [_record(n, "sun", "128", 0.0, True) for n in _NAMES], shards=4)
+        db = WhitePagesDatabase(
+            [_record(n, "sun", "128", 0.0, True) for n in _NAMES])
         seen = []
         listener = lambda name, rec: seen.append(name)  # noqa: E731
         db.subscribe(_NAMES, listener)
@@ -480,8 +511,9 @@ class TestCliSharding:
         assert main(["fleet", "--size", "64", "--shards", "4",
                      "--out", str(out)]) == 0
         assert is_shard_manifest(out)
+        assert len(json.loads(out.read_text())["files"]) == 4
         loaded = load_sharded_database(out)
-        assert loaded.shard_count == 4
+        assert isinstance(loaded, WhitePagesDatabase)
         assert len(loaded) == 64
 
     def test_fleet_command_plain_default_unchanged(self, tmp_path):
@@ -507,13 +539,11 @@ class TestCliSharding:
 
 class TestExclusive:
     def test_exclusive_is_reentrant_with_point_ops(self, small_db):
-        sharded = ShardedWhitePagesDatabase(
-            [small_db.get(n) for n in small_db.names()], shards=4)
-        with sharded.exclusive():
-            # Point ops re-enter the already-held shard locks.
-            name = sharded.names()[0]
-            sharded.update_dynamic(name, current_load=3.0)
-            assert sharded.get(name).current_load == 3.0
+        with small_db.exclusive():
+            # Point ops re-enter the already-held registry lock.
+            name = small_db.names()[0]
+            small_db.update_dynamic(name, current_load=3.0)
+            assert small_db.get(name).current_load == 3.0
 
     def test_plain_count(self, small_db):
         query = Query(clauses=(

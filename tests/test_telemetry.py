@@ -43,7 +43,7 @@ from hypothesis import strategies as st
 from repro.core.operators import Op
 from repro.core.plan import compile_plan
 from repro.core.query import Clause, Query
-from repro.database.service import ShardSupervisor
+from repro.database.service import ShardServiceClient, ShardSupervisor
 from repro.fleet import FleetSpec, build_fleet
 from repro.obs.logconfig import configure_logging
 from repro.obs.telemetry import (
@@ -492,32 +492,50 @@ class TestBrownoutAttribution:
     """The acceptance scenario: a DelayInjector brownout on one shard's
     ``match`` must be attributable from all three telemetry surfaces."""
 
-    def test_slow_shard_singled_out_end_to_end(self, fleet, client, plan):
-        client.inject_fault(SLOW_SHARD, delays={"match": 0.05})
-        try:
-            for _ in range(8):
-                client.match_names(plan)
-            snap = client.metrics(max_spans=16)
-        finally:
-            client.inject_fault(SLOW_SHARD, delays={})
+    def test_slow_shard_singled_out_end_to_end(self, fleet, plan):
+        # The incident is measured as a window, not against the module
+        # fleet's history: a private client has its own trace prefix
+        # and client-side histograms, and the worker histograms are
+        # read as after-minus-before.  On cumulative histograms with a
+        # dozen samples per shard, p99 is the slowest op any earlier
+        # test ever ran, and the shared client's slow-op spans include
+        # every earlier op that crossed the threshold.
+        with ShardServiceClient(fleet.endpoints) as client:
+            before = client.metrics(max_spans=0)
+            client.inject_fault(SLOW_SHARD, delays={"match": 0.05})
+            try:
+                for _ in range(8):
+                    client.match_names(plan)
+                snap = client.metrics(max_spans=16)
+            finally:
+                client.inject_fault(SLOW_SHARD, delays={})
+            trace_prefix = client.trace_prefix
 
-        # 1. Worker verb histograms: p99 argmax names the shard.
-        p99 = [summarize_histogram(
-                   r["metrics"]["histograms"]["verb.match"])["p99_s"]
-               for r in snap["per_shard"]]
+        # 1. Worker verb histograms over the incident window: p99
+        #    argmax names the shard.
+        windows = [histogram_delta(
+                       after["metrics"]["histograms"]["verb.match"],
+                       prior["metrics"]["histograms"].get("verb.match"))
+                   for after, prior in zip(snap["per_shard"],
+                                           before["per_shard"])]
+        assert [w.count for w in windows] == [8] * SHARDS
+        p99 = [summarize_histogram(w)["p99_s"] for w in windows]
         assert max(range(SHARDS), key=lambda i: p99[i]) == SLOW_SHARD
         # 2. The fault block proves the delay fired (captured before
         #    the disarm above reset it).
         fired = snap["per_shard"][SLOW_SHARD]["faults"]["delays_fired"]
         assert fired.get("match", 0) >= 8
-        # 3. The durable tail: slow-op JSONL spans carry this client's
-        #    trace ids.
+        # 3. The durable tail: every delayed match left a slow-op JSONL
+        #    span carrying this client's trace ids.  (Other verbs of
+        #    this client may cross the threshold on a loaded machine;
+        #    they are slow ops too, not part of the incident.)
         spans = fleet.slow_ops(SLOW_SHARD)
         ours = [s for s in spans
-                if str(s.get("trace", "")).startswith(client.trace_prefix)]
-        assert ours, f"no spans with our prefix in {spans!r}"
-        assert all(s["shard"] == SLOW_SHARD and s["verb"] == "match"
-                   and s["duration_s"] >= 0.02 for s in ours)
+                if str(s.get("trace", "")).startswith(trace_prefix)
+                and s["verb"] == "match"]
+        assert len(ours) == 8, f"want 8 delayed match spans in {spans!r}"
+        assert all(s["shard"] == SLOW_SHARD and s["duration_s"] >= 0.02
+                   for s in ours)
         # The client saw the same incident from its side of the wire.
         assert snap["per_shard"][SLOW_SHARD]["slow_ops"] >= len(ours)
         rtt = snap["client"]["histograms"][f"rtt.shard{SLOW_SHARD}"]
