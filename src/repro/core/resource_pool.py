@@ -40,7 +40,7 @@ every 'i'th machine in the pool)" — implemented in :meth:`_bias_tier`.
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.plan import QueryPlan, compile_plan, machine_admissible

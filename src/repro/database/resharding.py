@@ -37,20 +37,19 @@ while the old one keeps serving.
    takes a checkpoint, so a cold restart adopts the *post*-reshard
    topology from the manifest's ``epoch`` field.
 
-Replay correctness notes:
+Replay correctness notes (a logged frame re-routes by its verb's
+``route`` in :data:`~repro.runtime.verbs.VERBS`):
 
-- Point frames (``register``/``update`` route by the record row,
-  ``remove``/``update_dynamic``/``take``/``release`` by name) re-route
-  one-to-one; each record's history is totally ordered by its old
-  owner's log, so per-source in-order replay preserves per-record
-  order.
-- ``take_all`` splits its name list under the new partition.
-- ``release_pool`` carries no names, so replaying source *i*'s logged
-  copy is scoped with ``only_from`` to machines the *old* partition
-  owned on *i* — an unscoped replay could release a machine re-taken
-  later in another source's not-yet-replayed log.
-- ``reset`` cannot be re-partitioned (it replaces one whole shard) and
-  aborts the migration; the old fleet keeps serving.
+- Point frames re-route one-to-one; each record's history is totally
+  ordered by its old owner's log, so per-source in-order replay
+  preserves per-record order.
+- A grouped-names frame (``take_all``) splits its names anew.
+- A fan-out mutation (``release_pool``) carries no names, so replaying
+  source *i*'s logged copy is scoped with ``only_from`` to machines the
+  *old* partition owned on *i* — an unscoped replay could release a
+  machine re-taken later in another source's not-yet-replayed log.
+- A grouped-rows frame (``reset``) replaces whole shards, cannot be
+  re-partitioned, and aborts the migration; the old fleet serves on.
 - Logged frames carry the epoch stamp of the *old* fleet; every
   replayed frame is re-stamped with the target epoch.
 """
@@ -65,6 +64,15 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.database.sharding import RoutingTable, shard_of
 from repro.errors import ConfigError, DatabaseError
+from repro.runtime.verbs import (
+    GROUP_NAMES,
+    GROUP_ROWS,
+    POINT_ROUTES,
+    VERBS,
+    Verb,
+    group_by_shard,
+    point_key,
+)
 
 __all__ = ["MigrationReport", "ShardMigrator"]
 
@@ -265,13 +273,8 @@ class ShardMigrator:
         for rounds in range(1, self.max_rounds + 1):
             lag = 0
             for i in range(len(last)):
-                reply = client.migrate_tail(i, after_lsn=last[i],
-                                            max_records=self.batch)
-                for lsn, frame in reply["entries"]:
-                    self._apply(frame, source_index=i,
-                                old_shards=len(last))
-                    last[i] = int(lsn)
-                    replayed += 1
+                reply = self._pull(client, i, last)
+                replayed += len(reply["entries"])
                 lag += max(0, int(reply["wal_lsn"]) - last[i])
             if lag <= self.drain_threshold:
                 return replayed, rounds, last
@@ -292,13 +295,8 @@ class ShardMigrator:
         drained = 0
         for i in range(len(last)):
             for _ in range(_DRAIN_ATTEMPTS):
-                reply = client.migrate_tail(i, after_lsn=last[i],
-                                            max_records=self.batch)
-                for lsn, frame in reply["entries"]:
-                    self._apply(frame, source_index=i,
-                                old_shards=len(last))
-                    last[i] = int(lsn)
-                    drained += 1
+                reply = self._pull(client, i, last)
+                drained += len(reply["entries"])
                 if not reply["entries"] and \
                         int(reply["wal_lsn"]) <= last[i]:
                     break
@@ -366,50 +364,55 @@ class ShardMigrator:
 
     # -- replay routing -------------------------------------------------------
 
+    def _pull(self, client: Any, i: int, last: List[int]) -> Dict[str, Any]:
+        """Replay one ``migrate_tail`` slice of source ``i`` past
+        ``last[i]`` (advanced as entries apply); returns the reply."""
+        reply = client.migrate_tail(i, after_lsn=last[i],
+                                    max_records=self.batch)
+        for lsn, frame in reply["entries"]:
+            self._apply(frame, source_index=i, old_shards=len(last))
+            last[i] = int(lsn)
+        return reply
+
     def _apply(self, frame: Dict[str, Any], *, source_index: int,
                old_shards: int) -> None:
-        """Re-route one logged frame onto the target fleet.
+        """Re-route one logged frame onto the target fleet by its verb's
+        ``route`` under the new shard count.
 
         Raises ``DatabaseError`` on a frame that cannot be
-        re-partitioned (``reset``) or is not a known mutation — either
-        aborts the migration.
+        re-partitioned (a :data:`~repro.runtime.verbs.GROUP_ROWS` verb,
+        i.e. ``reset``) or is not a known mutation — either aborts the
+        migration.
         """
         kind = frame.get("kind")
+        verb = VERBS.get(str(kind))
+        if verb is None or not verb.mutates:
+            raise DatabaseError(f"unexpected verb {kind!r} in log tail")
         out = dict(frame)
         out["epoch"] = self.new_epoch
-        if kind in ("register", "update"):
-            self._send(str(out["row"][0]), out)
-        elif kind in ("remove", "update_dynamic", "take", "release"):
-            self._send(str(out["name"]), out)
-        elif kind == "take_all":
-            groups: Dict[int, List[str]] = {}
-            for name in out.get("names", []):
-                groups.setdefault(
-                    shard_of(str(name), self.new_shards), []).append(
-                        str(name))
-            for j, names in groups.items():
-                self._target_conns[j].roundtrip(
-                    {"kind": "take_all", "names": names,
-                     "pool": out["pool"], "epoch": self.new_epoch})
-        elif kind == "release_pool":
-            scoped = {"kind": "release_pool", "pool": out["pool"],
-                      "only_from": [old_shards, source_index],
-                      "epoch": self.new_epoch}
-            for conn in self._target_conns:
-                conn.roundtrip(scoped)
-        elif kind == "reset":
+        if verb.route in POINT_ROUTES:
+            self._send(shard_of(point_key(verb, out), self.new_shards),
+                       out, verb)
+        elif verb.route == GROUP_NAMES:
+            for j, names in group_by_shard(
+                    out["names"],
+                    lambda name: shard_of(name, self.new_shards)).items():
+                self._send(j, dict(out, names=names), verb)
+        elif verb.route == GROUP_ROWS:
             raise DatabaseError(
-                "a reset op appeared in the log tail; reset replaces "
-                "one whole shard and cannot be re-partitioned — "
-                "aborting the live reshard")
+                f"a {kind} op appeared in the log tail; it replaces "
+                "whole shards and cannot be re-partitioned — aborting "
+                "the live reshard")
         else:
-            raise DatabaseError(
-                f"unexpected verb {kind!r} in log tail")
+            # A fan-out mutation: every target replays source i's copy,
+            # scoped to the records the old partition gave source i.
+            out["only_from"] = [old_shards, source_index]
+            for j in range(self.new_shards):
+                self._send(j, out, verb)
 
-    def _send(self, machine_name: str, frame: Dict[str, Any]) -> None:
-        """Send one point frame to the target that owns the name."""
-        j = shard_of(machine_name, self.new_shards)
-        self._target_conns[j].roundtrip(frame, idempotent=False)
+    def _send(self, shard: int, frame: Dict[str, Any], verb: Verb) -> None:
+        """Send one replayed frame to target ``shard``."""
+        self._target_conns[shard].roundtrip(frame, retry=verb.retry)
 
     # -- failure handling -----------------------------------------------------
 

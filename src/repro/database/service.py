@@ -63,8 +63,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import multiprocessing
+import operator
 import random
 import socket
 import threading
@@ -77,6 +77,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -88,16 +89,15 @@ import repro.errors as _errors
 from repro.database.records import MachineRecord
 from repro.database.sharding import (
     RoutingTable,
-    _MANIFEST_FORMAT,
-    _MANIFEST_VERSION,
-    _PARTITION_CRC32,
-    _shard_file_name,
     is_shard_manifest,
     partition,
+    read_manifest,
     save_sharded_database,
+    shard_file_name,
+    write_manifest,
 )
 from repro.database.wal import WAL_MODES
-from repro.database.whitepages import Listener
+from repro.database.whitepages import Listener, Subscriptions
 from repro.errors import (
     ConfigError,
     DatabaseError,
@@ -112,6 +112,18 @@ from repro.obs.telemetry import (
 )
 from repro.obs.tracing import new_trace_id
 from repro.runtime.protocol import read_frame_sock, write_frame_sock
+from repro.runtime.verbs import (
+    FAN_MERGE,
+    FAN_SUM,
+    GROUP_NAMES,
+    GROUP_ROWS,
+    ONE_SHARD,
+    POINT_ROUTES,
+    VERBS,
+    Verb,
+    group_by_shard,
+    point_key,
+)
 
 __all__ = [
     "ShardServiceClient",
@@ -153,25 +165,19 @@ def parse_endpoints(spec: str) -> List[Tuple[str, int]]:
     return endpoints
 
 
-def _merge_by_name(parts: Sequence[List[MachineRecord]]
-                   ) -> List[MachineRecord]:
-    """Merge per-shard name-ordered record lists into one global order.
+def _merge_ordered(replies: Sequence[Dict[str, Any]]) -> List[Any]:
+    """Merge per-shard name-ordered ``rows`` (or ``names``) into one
+    global order.
 
     Shards partition the name space, so an N-way merge of sorted runs is
     exactly the sorted concatenation — the single database's order.
     """
-    live = [p for p in parts if p]
-    if len(live) == 1:
-        return live[0]
-    return list(heapq.merge(*live, key=lambda r: r.machine_name))
-
-
-def _merge_names(parts: Sequence[List[str]]) -> List[str]:
-    """Same merge for bare name lists (``names()`` / ``match_names()``)."""
-    live = [p for p in parts if p]
-    if len(live) <= 1:
-        return live[0] if live else []
-    return list(heapq.merge(*live))
+    key = "rows" if "rows" in replies[0] else "names"
+    runs = [r[key] for r in replies if r[key]]
+    if len(runs) <= 1:
+        return runs[0] if runs else []
+    return list(heapq.merge(
+        *runs, key=operator.itemgetter(0) if key == "rows" else None))
 
 
 def _raise_remote(reply: Dict[str, Any]) -> None:
@@ -243,18 +249,19 @@ class _WorkerConnection:
             self._sock = None
 
     def roundtrip(self, frame: Dict[str, Any], *,
-                  idempotent: bool = True) -> Dict[str, Any]:
+                  retry: bool = True) -> Dict[str, Any]:
         """Send one request frame and return the worker's reply.
 
         Redials once on a failed send (always safe: the worker never saw
         a complete frame).  A lost *reply* is retried only when
-        ``idempotent`` is true, since the request may already have been
+        ``retry`` is true, since the request may already have been
         applied.
 
         Args:
             frame: Wire frame with at least a ``kind`` key.
-            idempotent: Whether the verb may be resent after a lost
-                reply without risking double application.
+            retry: Whether the verb may be resent after a lost reply
+                without risking double application (its row's
+                ``retry``).
 
         Returns:
             The decoded reply frame.
@@ -270,11 +277,8 @@ class _WorkerConnection:
                 try:
                     write_frame_sock(self._sock, frame)
                 except OSError:
-                    # Send failed: the worker never dispatched a
-                    # complete frame (a truncated one is dropped with
-                    # the connection), so a resend after redial is safe
-                    # for every verb.  Common after a worker restart
-                    # invalidates a cached socket.
+                    # The worker drops a truncated frame with the
+                    # connection, so resending is safe for every verb.
                     self._drop()
                     if self._metrics is not None:
                         self._metrics.inc("reconnects")
@@ -285,22 +289,19 @@ class _WorkerConnection:
                     reply = read_frame_sock(self._sock)
                     break
                 except (OSError, RuntimeProtocolError):
-                    # The request may have been applied and only the
-                    # reply lost — resending a non-idempotent verb here
-                    # could double-apply it (e.g. a second `register`
-                    # raising DuplicateMachineError for work that
-                    # succeeded), so only idempotent requests retry.
+                    # The request may have applied and only the reply
+                    # been lost: only a retryable verb is resent.
                     self._drop()
                     if self._metrics is not None:
                         self._metrics.inc("reconnects")
-                    if attempt or not idempotent:
+                    if attempt or not retry:
                         raise
         if reply.get("kind") == "error":
             _raise_remote(reply)
         return reply
 
 
-class _RouteState:
+class _RouteState(NamedTuple):
     """One immutable routing generation: table + connections + pool.
 
     The client swaps the whole object atomically on a refresh, so a
@@ -308,16 +309,12 @@ class _RouteState:
     never a new shard count indexing into an old connection list.
     """
 
-    __slots__ = ("table", "conns", "executor")
-
-    def __init__(self, table: RoutingTable, conns: List[_WorkerConnection],
-                 executor: Optional[ThreadPoolExecutor]):
-        self.table = table
-        self.conns = conns
-        self.executor = executor
+    table: RoutingTable
+    conns: List[_WorkerConnection]
+    executor: Optional[ThreadPoolExecutor]
 
 
-class ShardServiceClient:
+class ShardServiceClient(Subscriptions):
     """``WhitePages`` surface over live out-of-process shard workers.
 
     Parameters
@@ -368,8 +365,10 @@ class ShardServiceClient:
         #: One lock for the whole client: every *mutation* acquires it,
         #: so ``exclusive()`` gives multi-op atomicity w.r.t. other
         #: writers sharing this client; reads bypass it (see module
-        #: docstring).
-        self._oplock = threading.RLock()
+        #: docstring).  It also guards the client-side subscription map,
+        #: which survives routing refreshes (client state, not worker
+        #: state).
+        self._lock = threading.RLock()
         self._subscriptions: Dict[str, Tuple[Listener, ...]] = {}
 
     def _build_route(self, table: RoutingTable) -> _RouteState:
@@ -396,21 +395,10 @@ class ShardServiceClient:
         """Current ``(host, port)`` per shard, in shard order."""
         return [(c.host, c.port) for c in self._route.conns]
 
-    @property
-    def _conns(self) -> List[_WorkerConnection]:
-        # Compatibility view of the current generation's connections
-        # (tests and the supervisor's direct pokes use it).  Multi-step
-        # routed paths capture self._route once instead.
-        return self._route.conns
-
     def routing_table(self) -> RoutingTable:
         """The client's current :class:`RoutingTable` (epoch, shards,
         endpoints)."""
         return self._route.table
-
-    def _conn_for(self, machine_name: str) -> _WorkerConnection:
-        state = self._route
-        return state.conns[state.table.shard_of(machine_name)]
 
     def close(self) -> None:
         """Close every connection and fan-out pool, including
@@ -431,7 +419,7 @@ class ShardServiceClient:
     def exclusive(self):
         """The client's operation lock (see module docstring for the
         client-scoped atomicity contract)."""
-        return self._oplock
+        return self._lock
 
     # -- tracing --------------------------------------------------------------
 
@@ -449,19 +437,23 @@ class ShardServiceClient:
 
     # -- routing refresh ------------------------------------------------------
 
-    def _install_table(self, table: RoutingTable) -> None:
-        """Swap in a newer routing generation (old one → graveyard)."""
+    def _install_table(self, payload: Dict[str, Any]) -> bool:
+        """Swap in the routing table ``payload`` (its wire dict) when it
+        is newer than the current one (old generation → graveyard);
+        returns whether it was installed."""
+        table = RoutingTable.from_wire(payload)
         with self._route_lock:
-            if table.epoch <= self._route.table.epoch:
-                return  # another thread won the race with a newer table
+            if table.epoch <= self._route.table.epoch or not table.endpoints:
+                return False  # stale, or another thread won the race
             self._graveyard.append(self._route)
             self._route = self._build_route(table)
+        return True
 
     def _poll_routing(self, state: _RouteState) -> Optional[Dict[str, Any]]:
         """Ask the old fleet for the new table (``routing`` verb)."""
-        for conn in state.conns:
+        for i in range(len(state.conns)):
             try:
-                reply = conn.roundtrip({"kind": "routing"})
+                reply = self._send(state, i, {"kind": "routing"})
             except (OSError, _errors.ReproError):
                 continue
             if reply.get("routing") is not None:
@@ -486,12 +478,8 @@ class ShardServiceClient:
         deadline = time.monotonic() + self._refresh_timeout
         attempt = 0
         while True:
-            if payload is not None:
-                table = RoutingTable.from_wire(payload)
-                if table.epoch > self._route.table.epoch and table.endpoints:
-                    self._install_table(table)
-                    return
-                payload = None
+            if payload is not None and self._install_table(payload):
+                return
             if self._route is not before:
                 return  # another thread refreshed while we waited
             if time.monotonic() >= deadline:
@@ -513,9 +501,7 @@ class ShardServiceClient:
         """
         payload = self._poll_routing(self._route)
         if payload is not None:
-            table = RoutingTable.from_wire(payload)
-            if table.epoch > self._route.table.epoch and table.endpoints:
-                self._install_table(table)
+            self._install_table(payload)
         return self._route.table
 
     def _routed(self, attempt: Callable[[_RouteState], Any]) -> Any:
@@ -532,70 +518,104 @@ class ShardServiceClient:
             f"routing kept moving: {self._MAX_ROUTE_RETRIES} epoch bumps "
             "during one op")
 
-    def _timed_roundtrip(self, state: _RouteState, shard: int,
-                         frame: Dict[str, Any],
-                         idempotent: bool = True) -> Dict[str, Any]:
+    def _send(self, state: _RouteState, shard: int, frame: Dict[str, Any],
+              retry: bool = True) -> Dict[str, Any]:
+        """One timed round trip to shard ``shard`` of ``state``."""
         t0 = time.perf_counter()
-        reply = state.conns[shard].roundtrip(frame, idempotent=idempotent)
+        reply = state.conns[shard].roundtrip(frame, retry=retry)
         self._metrics.observe(f"rtt.shard{shard}", time.perf_counter() - t0)
         return reply
 
-    def _point(self, machine_name: str, frame: Dict[str, Any], *,
-               idempotent: bool = True) -> Dict[str, Any]:
-        """Route one epoch-stamped point op by machine name."""
-        def attempt(state: _RouteState) -> Dict[str, Any]:
-            """Stamp with this generation's epoch and send."""
-            stamped = dict(frame)
-            stamped["epoch"] = state.table.epoch
-            stamped["trace"] = self._next_trace()
-            return self._timed_roundtrip(
-                state, state.table.shard_of(machine_name), stamped,
-                idempotent)
-        return self._routed(attempt)
+    def _call(self, verb: str, shard: int = 0, **fields: Any) -> Any:
+        """Send one ``verb`` frame the way its :data:`VERBS` row routes it.
 
-    def _shard_roundtrip(self, shard_index: int,
-                         frame: Dict[str, Any]) -> Dict[str, Any]:
-        """One round trip to shard ``shard_index`` *of the current
-        table*."""
-        def attempt(state: _RouteState) -> Dict[str, Any]:
-            """Send to the same index of this generation's fleet."""
-            stamped = dict(frame)
-            stamped["trace"] = self._next_trace()
-            return self._timed_roundtrip(state, shard_index, stamped)
-        return self._routed(attempt)
+        Returns the reply (point and one-shard routes), the summed
+        count, the merged rows or names, the per-shard replies, or the
+        names a grouped op answered.  One trace id per op; every route
+        but one-shard is stamped with the routing epoch.
+        """
+        spec = VERBS[verb]
+        route = spec.route
+        frame = fields  # a fresh dict per call: the frame, uncopied
+        frame["kind"] = verb
+        frame["trace"] = self._next_trace()
+        if route in POINT_ROUTES:
+            key = point_key(spec, frame)
 
-    def _fan_out_once(self, state: _RouteState,
-                      make_frame: Callable[[int], Dict[str, Any]]
-                      ) -> List[Dict[str, Any]]:
-        """One epoch-stamped round trip per worker of ``state``;
-        replies in shard order.  The whole fan-out shares one trace id
-        (so the straggler's worker-side span matches the client's op),
-        and each shard's RTT feeds its histogram — the slowest shard
-        takes the per-fan-out ``straggler.shard<i>`` attribution."""
-        trace = self._next_trace()
+            def attempt(state: _RouteState) -> Dict[str, Any]:
+                """Stamp with this generation's epoch and send."""
+                frame["epoch"] = state.table.epoch
+                return self._send(state, state.table.shard_of(key), frame,
+                                  spec.retry)
+            return self._routed(attempt)
+        if route == ONE_SHARD:
+            return self._routed(
+                lambda state: self._send(state, shard, frame, spec.retry))
+        if route == GROUP_NAMES:
+            return self._send_groups(spec, frame)
+        if route == GROUP_ROWS:
+            rows = frame.pop("rows")
 
-        def stamped(i: int) -> Dict[str, Any]:
-            """Shard ``i``'s frame with the generation's epoch applied."""
-            frame = dict(make_frame(i))
+            def attempt(state: _RouteState) -> List[Dict[str, Any]]:
+                """Group the rows by shard under this table; fan out."""
+                groups = group_by_shard(
+                    rows, lambda row: state.table.shard_of(row[0]))
+                return self._fan_out(state, [
+                    dict(frame, rows=groups.get(i, []),
+                         epoch=state.table.epoch)
+                    for i in range(len(state.conns))], spec.retry)
+            return self._routed(attempt)
+
+        def attempt(state: _RouteState) -> List[Dict[str, Any]]:
+            """The same epoch-stamped frame to every shard."""
             frame["epoch"] = state.table.epoch
-            frame["trace"] = trace
-            return frame
+            return self._fan_out(state, [frame] * len(state.conns),
+                                 spec.retry)
+        replies = self._routed(attempt)
+        if route == FAN_SUM:
+            return sum(r["count"] for r in replies)
+        if route == FAN_MERGE:
+            return _merge_ordered(replies)
+        return replies
 
-        def timed(i: int, conn: _WorkerConnection
-                  ) -> Tuple[Dict[str, Any], float]:
+    def _send_groups(self, spec: Verb, frame: Dict[str, Any]) -> List[str]:
+        """A :data:`GROUP_NAMES` op: one frame per involved shard, the
+        names answered in the caller's order (see :meth:`take_all`)."""
+        names = frame.pop("names")
+        answered: Set[str] = set()
+        done: Set[str] = set()  # sent, under whichever table
+
+        def attempt(state: _RouteState) -> None:
+            """Group the not-yet-sent names by shard and send."""
+            groups = group_by_shard([n for n in names if n not in done],
+                                    state.table.shard_of)
+            for i, group in groups.items():
+                reply = self._send(
+                    state, i,
+                    dict(frame, names=group, epoch=state.table.epoch),
+                    spec.retry)
+                answered.update(reply["names"])
+                done.update(group)
+        self._routed(attempt)
+        return [name for name in names if name in answered]
+
+    def _fan_out(self, state: _RouteState, frames: Sequence[Dict[str, Any]],
+                 retry: bool) -> List[Dict[str, Any]]:
+        """Frame ``i`` to worker ``i`` of ``state``, concurrently;
+        replies in shard order.  Each shard's RTT feeds its histogram —
+        the slowest shard takes the per-fan-out ``straggler.shard<i>``
+        attribution."""
+        def timed(i: int) -> Tuple[Dict[str, Any], float]:
             """(reply, RTT seconds) for shard ``i``'s round trip."""
             t0 = time.perf_counter()
-            reply = conn.roundtrip(stamped(i))
+            reply = state.conns[i].roundtrip(frames[i], retry=retry)
             return reply, time.perf_counter() - t0
         if state.executor is not None:
-            futures = [
-                state.executor.submit(timed, i, conn)
-                for i, conn in enumerate(state.conns)
-            ]
+            futures = [state.executor.submit(timed, i)
+                       for i in range(len(state.conns))]
             results = [f.result() for f in futures]
         else:
-            results = [timed(i, conn)
-                       for i, conn in enumerate(state.conns)]
+            results = [timed(i) for i in range(len(state.conns))]
         self._metrics.inc("fanouts")
         slowest, slowest_rtt = 0, -1.0
         for i, (_, rtt) in enumerate(results):
@@ -607,67 +627,6 @@ class ShardServiceClient:
             self._metrics.inc(f"straggler.shard{slowest}")
         return [reply for reply, _ in results]
 
-    def _fan_out(self, make_frame: Callable[[int], Dict[str, Any]]
-                 ) -> List[Dict[str, Any]]:
-        """One round trip per worker; replies in shard order.  A stale
-        routing refusal refreshes the table and re-fans the whole
-        request over the new fleet."""
-        return self._routed(
-            lambda state: self._fan_out_once(state, make_frame))
-
-    # -- client-side listeners ------------------------------------------------
-
-    def subscribe(self, machine_names: Iterable[str], fn: Listener) -> None:
-        """Register a client-side listener for mutations *through this
-        client* to the named machines (see the module docstring's
-        single-writer caveat).  Survives routing refreshes — the
-        subscription map is client state, not worker state."""
-        with self._oplock:
-            for name in machine_names:
-                self._subscriptions[name] = \
-                    self._subscriptions.get(name, ()) + (fn,)
-
-    def unsubscribe(self, machine_names: Iterable[str],
-                    fn: Listener) -> None:
-        """Drop ``fn``'s subscription on the named machines (a no-op
-        for names it never subscribed to)."""
-        with self._oplock:
-            for name in machine_names:
-                subs = self._subscriptions.get(name)
-                if subs is None:
-                    continue
-                remaining = tuple(l for l in subs if l != fn)
-                if remaining:
-                    self._subscriptions[name] = remaining
-                else:
-                    del self._subscriptions[name]
-
-    def remove_listener(self, fn: Listener) -> None:
-        """Drop ``fn`` from every machine it is subscribed to."""
-        with self._oplock:
-            for name in [n for n, subs in self._subscriptions.items()
-                         if any(l == fn for l in subs)]:
-                remaining = tuple(l for l in self._subscriptions[name]
-                                  if l != fn)
-                if remaining:
-                    self._subscriptions[name] = remaining
-                else:
-                    del self._subscriptions[name]
-
-    def listener_stats(self) -> Dict[str, int]:
-        """Client-side subscription counters (machines and entries)."""
-        with self._oplock:
-            return {
-                "subscribed_machines": len(self._subscriptions),
-                "subscription_entries": sum(
-                    len(subs) for subs in self._subscriptions.values()),
-            }
-
-    def _notify(self, machine_name: str,
-                record: Optional[MachineRecord]) -> None:
-        for fn in self._subscriptions.get(machine_name, ()):
-            fn(machine_name, record)
-
     # -- registry CRUD --------------------------------------------------------
 
     def add(self, record: MachineRecord) -> None:
@@ -677,12 +636,8 @@ class ShardServiceClient:
             table, epoch-stamped.
         Raises: ``DuplicateMachineError``.
         """
-        with self._oplock:
-            # Not idempotent: a retried register that actually applied
-            # would raise DuplicateMachineError for successful work.
-            self._point(record.machine_name,
-                        {"kind": "register", "row": record.to_row()},
-                        idempotent=False)
+        with self._lock:
+            self._call("register", row=record.to_row())
             self._notify(record.machine_name, record)
 
     def remove(self, machine_name: str) -> MachineRecord:
@@ -691,11 +646,9 @@ class ShardServiceClient:
         Returns: the removed record.
         Raises: ``UnknownMachineError``.
         """
-        with self._oplock:
-            reply = self._point(machine_name,
-                                {"kind": "remove", "name": machine_name},
-                                idempotent=False)
-            record = MachineRecord.from_row(reply["row"])
+        with self._lock:
+            record = MachineRecord.from_row(
+                self._call("remove", name=machine_name)["row"])
             self._notify(machine_name, None)
             return record
 
@@ -704,18 +657,16 @@ class ShardServiceClient:
 
         Raises: ``UnknownMachineError``.
         """
-        reply = self._point(machine_name,
-                            {"kind": "get", "name": machine_name})
-        return MachineRecord.from_row(reply["row"])
+        return MachineRecord.from_row(
+            self._call("get", name=machine_name)["row"])
 
     def update(self, record: MachineRecord) -> None:
         """Replace a record wholesale (point op, WAL-durable).
 
         Raises: ``UnknownMachineError``.
         """
-        with self._oplock:
-            self._point(record.machine_name,
-                        {"kind": "update", "row": record.to_row()})
+        with self._lock:
+            self._call("update", row=record.to_row())
             self._notify(record.machine_name, record)
 
     def update_dynamic(self, machine_name: str, **dynamic) -> MachineRecord:
@@ -725,83 +676,63 @@ class ShardServiceClient:
         Raises: ``UnknownMachineError``.
         """
         from repro.runtime.shard_worker import encode_dynamic
-        with self._oplock:
-            reply = self._point(machine_name, {
-                "kind": "update_dynamic", "name": machine_name,
-                "dynamic": encode_dynamic(dynamic)})
-            record = MachineRecord.from_row(reply["row"])
+        with self._lock:
+            record = MachineRecord.from_row(self._call(
+                "update_dynamic", name=machine_name,
+                dynamic=encode_dynamic(dynamic))["row"])
             self._notify(machine_name, record)
             return record
 
     def __len__(self) -> int:
-        return sum(r["count"]
-                   for r in self._fan_out(lambda i: {"kind": "len"}))
+        return self._call("len")
 
     def __contains__(self, machine_name: str) -> bool:
-        return bool(self._point(
-            machine_name,
-            {"kind": "contains", "name": machine_name})["contains"])
+        return bool(self._call("contains", name=machine_name)["contains"])
 
     def names(self) -> List[str]:
         """Every machine name in the fleet, in global name order
         (per-shard sorted runs merged client-side)."""
-        return _merge_names(
-            [r["names"] for r in self._fan_out(lambda i: {"kind": "names"})])
+        return self._call("names")
 
     # -- matching -------------------------------------------------------------
 
-    def _match_frames(self, plan: Any, include_taken: bool,
-                      names_only: bool) -> Optional[Dict[str, Any]]:
-        """The shared ``match`` request, or None for an unsatisfiable
-        plan (short-circuits without touching the wire)."""
+    def _plan_fields(self, plan: Any,
+                     include_taken: bool) -> Optional[Dict[str, Any]]:
+        """The ``clauses``/``include_taken`` fields of a query verb, or
+        None for an unsatisfiable plan (answered without the wire)."""
         from repro.core.plan import QueryPlan, compile_plan
         from repro.runtime.shard_worker import clauses_to_wire
         if not isinstance(plan, QueryPlan):
             plan = compile_plan(plan)
         if plan.unsatisfiable:
             return None
-        return {"kind": "match", "clauses": clauses_to_wire(plan),
-                "include_taken": include_taken, "names_only": names_only}
+        return {"clauses": clauses_to_wire(plan),
+                "include_taken": include_taken}
 
     def match(self, plan: Any = None, *, include_taken: bool = False
               ) -> List[MachineRecord]:
         """Fan the compiled clauses out to every worker; merge rows in
         name order (record- and order-identical to the in-process
         engines — the shard-service property tests gate this)."""
-        frame = self._match_frames(plan, include_taken, names_only=False)
-        if frame is None:
+        fields = self._plan_fields(plan, include_taken)
+        if fields is None:
             return []
-        replies = self._fan_out(lambda i: frame)
-        parts = [[MachineRecord.from_row(row) for row in r["rows"]]
-                 for r in replies]
-        return _merge_by_name(parts)
+        return [MachineRecord.from_row(row)
+                for row in self._call("match", names_only=False, **fields)]
 
     def match_names(self, plan: Any = None, *,
                     include_taken: bool = False) -> List[str]:
         """Names only — the cheap-wire form for bulk candidate
         enumeration."""
-        frame = self._match_frames(plan, include_taken, names_only=True)
-        if frame is None:
+        fields = self._plan_fields(plan, include_taken)
+        if fields is None:
             return []
-        return _merge_names(
-            [r["names"] for r in self._fan_out(lambda i: frame)])
+        return self._call("match", names_only=True, **fields)
 
     def count(self, plan: Any = None, *, include_taken: bool = False) -> int:
         """Count matches fleet-wide (fan-out; per-shard counts summed)."""
-        from repro.core.plan import QueryPlan, compile_plan
-        from repro.runtime.shard_worker import clauses_to_wire
-        if not isinstance(plan, QueryPlan):
-            plan = compile_plan(plan)
-        if plan.unsatisfiable:
-            return 0
-        frame = {"kind": "count", "clauses": clauses_to_wire(plan),
-                 "include_taken": include_taken}
-        return sum(r["count"] for r in self._fan_out(lambda i: frame))
-
-    def count_up(self) -> int:
-        """Count of machines in the ``up`` state fleet-wide (fan-out)."""
-        return sum(r["count"]
-                   for r in self._fan_out(lambda i: {"kind": "count_up"}))
+        fields = self._plan_fields(plan, include_taken)
+        return 0 if fields is None else self._call("count", **fields)
 
     # -- take / release -------------------------------------------------------
 
@@ -812,10 +743,9 @@ class ShardServiceClient:
         already held (no exception — a losing race is a normal outcome).
         Raises: ``UnknownMachineError``.
         """
-        with self._oplock:
-            return bool(self._point(machine_name, {
-                "kind": "take", "name": machine_name,
-                "pool": pool_name})["taken"])
+        with self._lock:
+            return bool(self._call("take", name=machine_name,
+                                   pool=pool_name)["taken"])
 
     def take_all(self, machine_names: Iterable[str],
                  pool_name: str) -> List[str]:
@@ -824,35 +754,13 @@ class ShardServiceClient:
         loop's semantics without a per-machine round trip).
 
         Routing-epoch safe: on a stale refusal mid-batch, only the
-        not-yet-attempted names re-route under the refreshed table —
-        names a previous group already took are never re-sent (their
-        takes are WAL-replayed onto the new fleet by the migrator).
+        not-yet-attempted names re-route under the refreshed table.
         """
         names = list(machine_names)
         if not names:
             return []
-        taken: Set[str] = set()
-        done: Set[str] = set()  # attempted, under whichever table
-        trace = self._next_trace()  # one logical op, however many groups
-
-        def attempt(state: _RouteState) -> None:
-            """Group the not-yet-attempted names by shard and send."""
-            groups: Dict[int, List[str]] = {}
-            for name in names:
-                if name not in done:
-                    groups.setdefault(state.table.shard_of(name),
-                                      []).append(name)
-            for i, group in groups.items():
-                reply = state.conns[i].roundtrip({
-                    "kind": "take_all", "names": group,
-                    "pool": pool_name,
-                    "epoch": state.table.epoch,
-                    "trace": trace})
-                taken.update(reply["names"])
-                done.update(group)
-        with self._oplock:
-            self._routed(attempt)
-        return [name for name in names if name in taken]
+        with self._lock:
+            return self._call("take_all", names=names, pool=pool_name)
 
     def release(self, machine_name: str, pool_name: str) -> None:
         """Release one machine from a pool (point op, WAL-durable).
@@ -860,52 +768,37 @@ class ShardServiceClient:
         Raises: ``UnknownMachineError``; ``MachineTakenError`` when a
             different pool holds it.
         """
-        with self._oplock:
-            self._point(machine_name, {
-                "kind": "release", "name": machine_name, "pool": pool_name})
+        with self._lock:
+            self._call("release", name=machine_name, pool=pool_name)
 
     def release_pool(self, pool_name: str) -> int:
         """Release every machine a pool holds (fan-out mutation;
         per-shard release counts summed)."""
-        frame = {"kind": "release_pool", "pool": pool_name}
-        with self._oplock:
-            return sum(r["count"] for r in self._fan_out(lambda i: frame))
+        with self._lock:
+            return self._call("release_pool", pool=pool_name)
 
     def holder_of(self, machine_name: str) -> Optional[str]:
         """The pool holding a machine, or ``None`` (point read).
 
         Raises: ``UnknownMachineError``.
         """
-        return self._point(
-            machine_name,
-            {"kind": "holder_of", "name": machine_name})["holder"]
+        return self._call("holder_of", name=machine_name)["holder"]
 
     def taken_count(self) -> int:
         """How many machines are taken fleet-wide (fan-out)."""
-        frame = {"kind": "taken_count"}
-        return sum(r["count"] for r in self._fan_out(lambda i: frame))
-
-    def free_names(self) -> Set[str]:
-        """The set of free (not-taken) machine names (fan-out; the
-        per-shard sets union — unordered by contract)."""
-        frame = {"kind": "free_names"}
-        replies = self._fan_out(lambda i: frame)
-        free: Set[str] = set()
-        for r in replies:
-            free.update(r["names"])
-        return free
+        return self._call("taken_count")
 
     # -- observability / persistence ------------------------------------------
 
     def health(self) -> List[Dict[str, Any]]:
         """Per-worker health frames, in shard order."""
-        return self._fan_out(lambda i: {"kind": "health"})
+        return self._call("health")
 
     def index_stats(self) -> Dict[str, Any]:
         """Fleet-wide index/record counters aggregated from ``health``."""
         per_shard = [h["index_stats"] for h in self.health()]
         return {
-            "shards": len(self._conns),
+            "shards": len(per_shard),
             "machines": sum(s["machines"] for s in per_shard),
             "free": sum(s["free"] for s in per_shard),
             "taken": sum(s["taken"] for s in per_shard),
@@ -926,12 +819,12 @@ class ShardServiceClient:
         dict disarms).  Passing only one map leaves the other family's
         armed state untouched.
         """
-        frame: Dict[str, Any] = {"kind": "fault"}
+        fields: Dict[str, Any] = {}
         if triggers is not None:
-            frame["triggers"] = dict(triggers)
+            fields["triggers"] = dict(triggers)
         if delays is not None:
-            frame["delays"] = dict(delays)
-        return self._shard_roundtrip(shard_index, frame)
+            fields["delays"] = dict(delays)
+        return self._call("fault", shard_index, **fields)
 
     def set_telemetry(self, enabled: bool) -> List[Dict[str, Any]]:
         """Flip worker-side telemetry recording fleet-wide at runtime.
@@ -943,8 +836,7 @@ class ShardServiceClient:
         the per-op tax under test); operators get the same lever for
         ruling telemetry in or out during an incident.
         """
-        return self._fan_out(
-            lambda i: {"kind": "set_telemetry", "enabled": bool(enabled)})
+        return self._call("set_telemetry", enabled=bool(enabled))
 
     def wal_stats(self) -> Dict[str, Any]:
         """Fleet-wide write-ahead-log counters (from ``health``):
@@ -953,7 +845,7 @@ class ShardServiceClient:
         knob."""
         per_shard = [h.get("wal", {"mode": "off"}) for h in self.health()]
         return {
-            "shards": len(self._conns),
+            "shards": len(per_shard),
             "modes": sorted({str(s.get("mode", "off")) for s in per_shard}),
             "appended": sum(int(s.get("appended", 0)) for s in per_shard),
             "syncs": sum(int(s.get("syncs", 0)) for s in per_shard),
@@ -983,8 +875,7 @@ class ShardServiceClient:
             reconnect/stale-routing/straggler counters, and its
             ``trace_prefix``.
         """
-        per_shard = self._fan_out(
-            lambda i: {"kind": "metrics", "max_spans": int(max_spans)})
+        per_shard = self._call("metrics", max_spans=int(max_spans))
         hist_maps = [r.get("metrics", {}).get("histograms", {})
                      for r in per_shard]
         names: Set[str] = set()
@@ -1037,36 +928,24 @@ class ShardServiceClient:
         with a WAL attached the worker truncates its log after the
         checkpoint durably lands (unless a live migration pins it).
         """
-        with self._oplock:
-            return self._shard_roundtrip(
-                shard_index,
-                {"kind": "snapshot", "path": str(path)})
+        with self._lock:
+            return self._call("snapshot", shard_index, path=str(path))
 
     def reset(self, records: Iterable[MachineRecord] = ()) -> None:
         """Replace every worker's shard with freshly seeded state
         (test and re-seed tooling; rows are pre-routed per shard under
         the current table and re-grouped if it moves mid-call)."""
-        records = list(records)
-
-        def attempt(state: _RouteState) -> None:
-            """Group the rows by shard under this table and fan out."""
-            groups: List[List[List[Any]]] = [[] for _ in state.conns]
-            for record in records:
-                groups[state.table.shard_of(
-                    record.machine_name)].append(record.to_row())
-            self._fan_out_once(
-                state, lambda i: {"kind": "reset", "rows": groups[i]})
-        with self._oplock:
-            self._routed(attempt)
+        with self._lock:
+            self._call("reset", rows=[r.to_row() for r in records])
             self._subscriptions.clear()
 
     def shutdown_workers(self) -> None:
         """Best-effort ``shutdown`` verb to every worker of the current
         table (retired workers of older epochs are the supervisor's to
         reap, not the client's)."""
-        for conn in self._conns:
+        for i in range(self.shard_count):
             try:
-                conn.roundtrip({"kind": "shutdown"})
+                self._call("shutdown", i)
             except (OSError, _errors.ReproError):
                 pass
 
@@ -1081,8 +960,7 @@ class ShardServiceClient:
         ``watermark`` LSN that anchors the tail stream.
         Raises: ``DatabaseError`` when the worker runs without a WAL.
         """
-        return self._route.conns[shard_index].roundtrip(
-            {"kind": "migrate_begin", "path": str(path)})
+        return self._call("migrate_begin", shard_index, path=str(path))
 
     def migrate_tail(self, shard_index: int, *, after_lsn: int = 0,
                      max_records: int = 512) -> Dict[str, Any]:
@@ -1092,9 +970,9 @@ class ShardServiceClient:
         Returns: the ``tail`` reply — ``entries``, the worker's
         authoritative ``wal_lsn``, and the scan-stop ``reason``.
         """
-        return self._route.conns[shard_index].roundtrip(
-            {"kind": "migrate_tail", "after_lsn": int(after_lsn),
-             "max_records": int(max_records)})
+        return self._call("migrate_tail", shard_index,
+                          after_lsn=int(after_lsn),
+                          max_records=int(max_records))
 
     def migrate_cutover(self, shard_index: int, *,
                         epoch: Optional[int] = None,
@@ -1105,17 +983,17 @@ class ShardServiceClient:
         (``retire``), adopt an ``epoch``, and/or publish a ``routing``
         table (see the worker verb's docstring for the ordering
         contract).  Returns the worker's acknowledgement."""
-        frame: Dict[str, Any] = {"kind": "migrate_cutover"}
+        fields: Dict[str, Any] = {}
         if epoch is not None:
-            frame["epoch"] = int(epoch)
+            fields["epoch"] = int(epoch)
         if retire is not None:
-            frame["retire"] = bool(retire)
+            fields["retire"] = bool(retire)
         if routing is not None:
-            frame["routing"] = dict(routing)
-        return self._route.conns[shard_index].roundtrip(frame)
+            fields["routing"] = dict(routing)
+        return self._call("migrate_cutover", shard_index, **fields)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ShardServiceClient(shards={len(self._conns)}, "
+        return (f"ShardServiceClient(shards={self.shard_count}, "
                 f"endpoints={self.endpoints})")
 
 
@@ -1234,11 +1112,9 @@ class ShardSupervisor:
         manifest = self._manifest_path("seed")
         written = save_sharded_database(
             partition(self._seed_records, self.shards), manifest)
-        if self.shards == 1:
-            self._snapshots[0] = written[0]
-        else:
-            for i, path in enumerate(written[1:]):
-                self._snapshots[i] = path
+        # A single shard is the plain snapshot itself; otherwise the
+        # shard files follow the manifest.
+        self._snapshots = written[-self.shards:]
 
     def _resize(self, shards: int) -> None:
         """Re-shape the per-shard bookkeeping for a new shard count
@@ -1279,12 +1155,8 @@ class ShardSupervisor:
                     continue
                 self._snapshots[0] = manifest
                 return stem
-            try:
-                meta = json.loads(manifest.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                continue
-            if not isinstance(meta, dict) or \
-                    meta.get("format") != _MANIFEST_FORMAT:
+            meta = read_manifest(manifest)
+            if meta is None:
                 continue
             shards_meta = meta.get("shards")
             epoch_meta = meta.get("epoch")
@@ -1300,32 +1172,34 @@ class ShardSupervisor:
             if shards_meta != self.shards:
                 self._resize(shards_meta)
             self.epoch = int(epoch_meta or 0)
-            for i, path in enumerate(files):
-                self._snapshots[i] = path
+            self._snapshots = list(files)
             return stem
         return None
 
+    def _shard_path(self, shard_index: int, extension: str,
+                    epoch: Optional[int] = None) -> str:
+        """``shard_<i>[.e<epoch>]<extension>`` in the snapshot dir;
+        epoch-qualified after a reshard so a target fleet's files never
+        collide with the fleet it replaces (epoch 0 keeps the bare name
+        for seed compatibility)."""
+        assert self._dir is not None
+        epoch = self.epoch if epoch is None else epoch
+        suffix = "" if epoch == 0 else f".e{epoch}"
+        return str(self._dir / f"shard_{shard_index}{suffix}{extension}")
+
     def _wal_path(self, shard_index: int,
                   epoch: Optional[int] = None) -> Optional[str]:
-        """This shard's op-log path; epoch-qualified after a reshard so
-        a target fleet's logs never collide with the fleet it replaces
-        (epoch 0 keeps the bare name for seed compatibility)."""
+        """This shard's op-log path, or ``None`` with the WAL off."""
         if self.wal == "off" or self._dir is None:
             return None
-        epoch = self.epoch if epoch is None else epoch
-        suffix = "" if epoch == 0 else f".e{epoch}"
-        return str(self._dir / f"shard_{shard_index}{suffix}.wal")
+        return self._shard_path(shard_index, ".wal", epoch)
 
-    def _slow_op_path(self, shard_index: int,
-                      epoch: Optional[int] = None) -> Optional[str]:
-        """This shard's slow-op JSONL path, beside its WAL (same
-        epoch-qualified naming); ``None`` without a snapshot dir or
-        with telemetry off."""
+    def _slow_op_path(self, shard_index: int) -> Optional[str]:
+        """This shard's slow-op JSONL path, beside its WAL; ``None``
+        without a snapshot dir or with telemetry off."""
         if self._dir is None or not self.telemetry:
             return None
-        epoch = self.epoch if epoch is None else epoch
-        suffix = "" if epoch == 0 else f".e{epoch}"
-        return str(self._dir / f"shard_{shard_index}{suffix}.slow.jsonl")
+        return self._shard_path(shard_index, ".slow.jsonl")
 
     def slow_ops(self, shard_index: int) -> List[Dict[str, Any]]:
         """Parse one shard's on-disk slow-op JSONL (empty when the
@@ -1472,16 +1346,13 @@ class ShardSupervisor:
         then join (terminate on timeout); retired workers from past
         reshards are reaped too.  Idempotent."""
         self.reap_retired()
-        if self._client is not None:
-            self._client.shutdown_workers()
-            self._client.close()
-            self._client = None
-        else:
-            try:
-                with ShardServiceClient(self.endpoints, timeout=5.0) as c:
-                    c.shutdown_workers()
-            except OSError:  # pragma: no cover - best effort
-                pass
+        # A client dials lazily and shutdown_workers is best-effort, so
+        # neither can raise for a dead fleet.
+        client, self._client = self._client, None
+        if client is None:
+            client = ShardServiceClient(self.endpoints, timeout=5.0)
+        with client:
+            client.shutdown_workers()
         for i, process in enumerate(self._processes):
             if process is None:
                 continue
@@ -1535,7 +1406,7 @@ class ShardSupervisor:
             reply = client.snapshot_shard(0, manifest_path)
             self._snapshots[0] = Path(reply["path"])
             return manifest_path
-        files = [_shard_file_name(manifest_path, i)
+        files = [shard_file_name(manifest_path, i)
                  for i in range(self.shards)]
         checksums: List[int] = []
         machines = 0
@@ -1545,20 +1416,8 @@ class ShardSupervisor:
                 checksums.append(int(reply["crc"]))
                 machines += int(reply["machines"])
                 self._snapshots[i] = self._dir / name
-        manifest = {
-            "format": _MANIFEST_FORMAT,
-            "version": _MANIFEST_VERSION,
-            "partition": _PARTITION_CRC32,
-            "shards": self.shards,
-            "epoch": self.epoch,
-            "snapshot_version": 3,
-            "machines": machines,
-            "files": files,
-            "checksums": checksums,
-        }
-        from repro.database.persistence import atomic_write_text
-        atomic_write_text(manifest_path,
-                          json.dumps(manifest, indent=2) + "\n")
+        write_manifest(manifest_path, files, checksums, machines,
+                       epoch=self.epoch)
         return manifest_path
 
     def restart(self, shard_index: int) -> int:

@@ -19,8 +19,12 @@ Persistence
 :func:`save_sharded_database` writes one v3 snapshot *per partition*
 plus a small manifest (CRC-32 per file), so shard workers cold-start
 from their own file in parallel; a single partition falls back to the
-plain whole-file snapshot.  :func:`load_sharded_database` reads a
-manifest **or** a plain v3 snapshot back into one
+plain whole-file snapshot.  Each rewrite writes a new *generation* of
+shard files beside the old one, so the manifest rename is the one
+commit point.  :func:`write_manifest` is the one manifest writer, for
+this and for the shard supervisor's checkpoint.
+:func:`load_sharded_database` reads a manifest **or** a plain v3
+snapshot back into one
 :class:`~repro.database.whitepages.WhitePagesDatabase`, refusing a
 file that fails its checksum or a record stored on the wrong shard.
 """
@@ -57,6 +61,9 @@ __all__ = [
     "save_sharded_database",
     "load_sharded_database",
     "is_shard_manifest",
+    "read_manifest",
+    "write_manifest",
+    "shard_file_name",
     "WhitePages",
 ]
 
@@ -155,8 +162,12 @@ class RoutingTable:
 # ---------------------------------------------------------------------------
 
 
-def _shard_file_name(manifest: Path, index: int) -> str:
-    return f"{manifest.stem}.shard{index:02d}{manifest.suffix or '.json'}"
+def shard_file_name(manifest: Path, index: int, generation: int = 0) -> str:
+    """Shard ``index``'s file name beside ``manifest``; a generation
+    above 0 is part of the name, so two generations never collide."""
+    tag = f".g{generation}" if generation else ""
+    return (f"{manifest.stem}{tag}.shard{index:02d}"
+            f"{manifest.suffix or '.json'}")
 
 
 def is_shard_manifest(path: Union[str, Path]) -> bool:
@@ -168,6 +179,47 @@ def is_shard_manifest(path: Union[str, Path]) -> bool:
     except OSError:
         return False
     return _MANIFEST_FORMAT in head
+
+
+def read_manifest(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
+    """The manifest at ``path`` as a dict; ``None`` when the file is
+    missing, unreadable, or not a manifest (a plain snapshot)."""
+    if not is_shard_manifest(path):
+        return None
+    try:
+        meta = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError):
+        return None
+    if not isinstance(meta, dict) or meta.get("format") != _MANIFEST_FORMAT:
+        return None
+    return meta
+
+
+def write_manifest(path: Union[str, Path], files: Sequence[str],
+                   checksums: Sequence[int], machines: int, *,
+                   epoch: Optional[int] = None,
+                   generation: int = 0) -> None:
+    """Atomically write a manifest naming ``files`` (relative to its
+    directory, in shard order) and their CRC-32 ``checksums``, plus a
+    supervisor checkpoint's ``epoch`` or the ``generation`` of
+    :func:`save_sharded_database`'s files."""
+    from repro.database.persistence import atomic_write_text
+    manifest: Dict[str, Any] = {
+        # "format" first: the loader sniffs the file head before
+        # committing to a full JSON parse of what may be a 100 MB
+        # plain snapshot.
+        "format": _MANIFEST_FORMAT,
+        "version": _MANIFEST_VERSION,
+        "partition": _PARTITION_CRC32,
+        "shards": len(files),
+    }
+    if epoch is not None:
+        manifest["epoch"] = int(epoch)
+    if generation:
+        manifest["generation"] = int(generation)
+    manifest.update(snapshot_version=3, machines=int(machines),
+                    files=list(files), checksums=list(checksums))
+    atomic_write_text(path, json.dumps(manifest, indent=2) + "\n")
 
 
 def partition(records: Iterable[MachineRecord], shards: int,
@@ -204,11 +256,11 @@ def save_sharded_database(parts: Sequence[Partition],
     with :func:`~repro.database.persistence.save_database` output.
 
     Each shard database is built, dumped and dropped before the next,
-    so the writer never holds more than one shard heap.  Every file,
-    the manifest last, goes through
-    :func:`~repro.database.persistence.atomic_write_text`: a crash
-    leaves the destination holding old or new contents, never a torn
-    file.
+    so the writer never holds more than one shard heap.  A rewrite
+    writes the next generation of shard files under new names, then the
+    manifest, each atomically, so the manifest rename is the one commit
+    point: a crash before it leaves the old manifest and its files
+    untouched.  The previous generation is deleted after it.
     """
     from repro.database.persistence import (
         atomic_write_text,
@@ -216,33 +268,32 @@ def save_sharded_database(parts: Sequence[Partition],
         save_database,
     )
     path = Path(path)
+    old = read_manifest(path) or {}
     if len(parts) == 1:
         save_database(shard_database(*parts[0]), path)
-        return [path]
-    files = [_shard_file_name(path, i) for i in range(len(parts))]
-    written: List[Path] = []
-    checksums: List[int] = []
-    for name, (records, holders) in zip(files, parts):
-        text = dumps_database(shard_database(records, holders))
-        shard_path = path.parent / name
-        atomic_write_text(shard_path, text)
-        checksums.append(zlib.crc32(text.encode("utf-8")))
-        written.append(shard_path)
-    manifest = {
-        # "format" first: the loader sniffs the file head before
-        # committing to a full JSON parse of what may be a 100 MB
-        # plain snapshot.
-        "format": _MANIFEST_FORMAT,
-        "version": _MANIFEST_VERSION,
-        "partition": _PARTITION_CRC32,
-        "shards": len(files),
-        "snapshot_version": 3,
-        "machines": sum(len(records) for records, _ in parts),
-        "files": files,
-        "checksums": checksums,
-    }
-    atomic_write_text(path, json.dumps(manifest, indent=2) + "\n")
-    return [path] + written
+        written = [path]
+    else:
+        generation = int(old.get("generation", 0)) + 1
+        files = [shard_file_name(path, i, generation)
+                 for i in range(len(parts))]
+        written = [path]
+        checksums: List[int] = []
+        for name, (records, holders) in zip(files, parts):
+            text = dumps_database(shard_database(records, holders))
+            atomic_write_text(path.parent / name, text)
+            checksums.append(zlib.crc32(text.encode("utf-8")))
+            written.append(path.parent / name)
+        write_manifest(path, files, checksums,
+                       sum(len(records) for records, _ in parts),
+                       generation=generation)
+    for name in old.get("files", []):
+        stale = path.parent / Path(str(name)).name
+        if stale not in written:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
+    return written
 
 
 def _load_manifest(manifest: Dict[str, Any],

@@ -46,13 +46,81 @@ from repro.errors import (
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
     from repro.core.plan import QueryPlan
 
-__all__ = ["WhitePagesDatabase"]
+__all__ = ["WhitePagesDatabase", "Subscriptions"]
 
 #: Record-change callback: ``fn(machine_name, record_or_None)``.
 Listener = Callable[[str, Optional[MachineRecord]], None]
 
 
-class WhitePagesDatabase:
+class Subscriptions:
+    """Per-machine change listeners, for :class:`WhitePagesDatabase`
+    and the shard-service client.  The owner sets ``_lock`` (an RLock)
+    and ``_subscriptions`` (name -> listener tuple, copy-on-write so
+    :meth:`_notify` iterates without copying)."""
+
+    _lock: Any
+    _subscriptions: Dict[str, Tuple["Listener", ...]]
+
+    def subscribe(self, machine_names: Iterable[str], fn: "Listener") -> None:
+        """Subscribe ``fn(machine_name, record)`` to changes of the named
+        machines only.
+
+        ``record`` is the new version, or ``None`` when the machine was
+        removed.  Subscriptions are keyed by *name*, not by registration
+        state: a machine removed from the registry and later re-added
+        still notifies its subscribers (the indexed pool scheduler relies
+        on this to restore the machine to its slot).  Listeners run under
+        the owner's lock and must not mutate the database.  On the
+        shard-service client they fire for mutations made through that
+        client only.
+        """
+        with self._lock:
+            for name in machine_names:
+                self._subscriptions[name] = \
+                    self._subscriptions.get(name, ()) + (fn,)
+
+    def unsubscribe(self, machine_names: Iterable[str],
+                    fn: "Listener") -> None:
+        """Remove ``fn``'s subscription on the named machines.
+
+        Comparison is by equality, not identity: bound methods are
+        re-created per attribute access but compare equal for the same
+        receiver.  Unknown names and absent subscriptions are ignored.
+        """
+        with self._lock:
+            for name in machine_names:
+                subs = self._subscriptions.get(name)
+                if subs is None:
+                    continue
+                remaining = tuple(l for l in subs if l != fn)
+                if remaining:
+                    self._subscriptions[name] = remaining
+                else:
+                    del self._subscriptions[name]
+
+    def remove_listener(self, fn: "Listener") -> None:
+        """Remove every per-machine subscription of ``fn``."""
+        with self._lock:
+            self.unsubscribe([name for name, subs
+                              in self._subscriptions.items()
+                              if any(l == fn for l in subs)], fn)
+
+    def listener_stats(self) -> Dict[str, int]:
+        """Observability: subscribed machines and subscription entries."""
+        with self._lock:
+            return {
+                "subscribed_machines": len(self._subscriptions),
+                "subscription_entries": sum(
+                    len(subs) for subs in self._subscriptions.values()),
+            }
+
+    def _notify(self, machine_name: str,
+                record: Optional[MachineRecord]) -> None:
+        for fn in self._subscriptions.get(machine_name, ()):
+            fn(machine_name, record)
+
+
+class WhitePagesDatabase(Subscriptions):
     """In-memory machine registry with take/release semantics.
 
     A coarse lock makes the registry safe for the asyncio/threaded runtime;
@@ -117,70 +185,6 @@ class WhitePagesDatabase:
         else:
             self._catalog = AttributeIndexCatalog()
             self._catalog.bulk_load(initial)
-
-    # -- change listeners -----------------------------------------------------
-
-    def subscribe(self, machine_names: Iterable[str], fn: "Listener") -> None:
-        """Subscribe ``fn(machine_name, record)`` to changes of the named
-        machines only.
-
-        ``record`` is the new version, or ``None`` when the machine was
-        removed.  Subscriptions are keyed by *name*, not by registration
-        state: a machine removed from the registry and later re-added
-        still notifies its subscribers (the indexed pool scheduler relies
-        on this to restore the machine to its slot).  Listeners run under
-        the registry lock and must not mutate the database.
-        """
-        with self._lock:
-            for name in machine_names:
-                self._subscriptions[name] = \
-                    self._subscriptions.get(name, ()) + (fn,)
-
-    def unsubscribe(self, machine_names: Iterable[str],
-                    fn: "Listener") -> None:
-        """Remove ``fn``'s subscription on the named machines.
-
-        Comparison is by equality, not identity: bound methods are
-        re-created per attribute access but compare equal for the same
-        receiver.  Unknown names and absent subscriptions are ignored.
-        """
-        with self._lock:
-            for name in machine_names:
-                subs = self._subscriptions.get(name)
-                if subs is None:
-                    continue
-                remaining = tuple(l for l in subs if l != fn)
-                if remaining:
-                    self._subscriptions[name] = remaining
-                else:
-                    del self._subscriptions[name]
-
-    def remove_listener(
-            self, fn: Callable[[str, Optional[MachineRecord]], None]) -> None:
-        """Remove every per-machine subscription of ``fn``."""
-        with self._lock:
-            for name in [n for n, subs in self._subscriptions.items()
-                         if any(l == fn for l in subs)]:
-                remaining = tuple(l for l in self._subscriptions[name]
-                                  if l != fn)
-                if remaining:
-                    self._subscriptions[name] = remaining
-                else:
-                    del self._subscriptions[name]
-
-    def listener_stats(self) -> Dict[str, int]:
-        """Observability: subscribed machines and subscription entries."""
-        with self._lock:
-            return {
-                "subscribed_machines": len(self._subscriptions),
-                "subscription_entries": sum(
-                    len(subs) for subs in self._subscriptions.values()),
-            }
-
-    def _notify(self, machine_name: str,
-                record: Optional[MachineRecord]) -> None:
-        for fn in self._subscriptions.get(machine_name, ()):
-            fn(machine_name, record)
 
     # -- registry CRUD --------------------------------------------------------
 

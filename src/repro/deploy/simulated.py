@@ -33,7 +33,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import CostModel, PipelineConfig
+from repro.config import PipelineConfig
 from repro.core.language import parse_query
 from repro.core.pool_manager import (
     Delegate,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import logging
 import sys
-from typing import Optional
 
 __all__ = ["configure_logging"]
 

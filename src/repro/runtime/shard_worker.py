@@ -11,81 +11,25 @@ operations by CRC-32 of the machine name and fans queries out across
 workers, so the whole service presents the duck-typed ``WhitePages``
 surface out-of-process.
 
-Verb table (request ``kind`` → reply ``kind``)
-----------------------------------------------
-=================  =========================  ==============================
-verb               request fields             reply
-=================  =========================  ==============================
-``register``       ``row``                    ``ok``
-``remove``         ``name``                   ``record`` (the removed row)
-``get``            ``name``                   ``record``
-``update``         ``row``                    ``ok``
-``update_dynamic`` ``name``, ``dynamic``      ``record`` (the new row)
-``match``          ``clauses``,               ``records`` (rows) or
-                   ``include_taken``,         ``names``
-                   ``names_only``
-``count``          ``clauses``,               ``count``
-                   ``include_taken``
-``names``          —                          ``names``
-``take``           ``name``, ``pool``         ``ok`` with ``taken`` bool
-``take_all``       ``names``, ``pool``        ``names`` (actually taken)
-``release``        ``name``, ``pool``         ``ok``
-``release_pool``   ``pool``                   ``count``
-``holder_of``      ``name``                   ``holder`` (name or null)
-``taken_count``    —                          ``count``
-``free_names``     —                          ``names`` (unsorted)
-``count_up``       —                          ``count``
-``len``            —                          ``count``
-``contains``       ``name``                   ``ok`` with ``contains`` bool
-``snapshot``       ``path`` (optional)        ``snapshot`` (``crc``,
-                                              ``machines``; ``text`` inline
-                                              when no path given)
-``health``         —                          ``health`` (pid, shard index,
-                                              machines, requests, wal, ...)
-``metrics``        ``max_spans`` (optional)   ``metrics`` (registry snapshot
-                                              with per-verb latency
-                                              histograms, recent span tail,
-                                              slow-op count, WAL stats,
-                                              fault-injection counts; see
-                                              :mod:`repro.obs.telemetry`)
-``set_telemetry``  ``enabled``                ``set_telemetry`` (flips the
-                                              worker's per-op recording at
-                                              runtime; the overhead gate
-                                              A/B-times one live fleet)
-``reset``          ``rows`` (optional)        ``ok`` (fresh database)
-``fault``          ``triggers``               ``ok`` (arms crash-point
-                                              countdowns in this worker —
-                                              fault-injection tooling, see
-                                              :mod:`repro.runtime.faults`)
-``routing``        —                          ``routing`` (epoch, shards,
-                                              routing table if known)
-``migrate_begin``  ``path``                   ``snapshot`` with ``watermark``
-                                              (no WAL truncation — the tail
-                                              stays streamable)
-``migrate_tail``   ``after_lsn``,             ``tail`` (``entries``,
-                   ``max_records``            ``wal_lsn``, ``reason``)
-``migrate_cutover`` ``epoch``; ``retire``     ``ok`` (fence/unfence a source,
-                    and/or ``routing``        or activate a target's table)
-``shutdown``       —                          ``ok``, then the server stops
-=================  =========================  ==============================
+The verbs themselves are the rows of :data:`repro.runtime.verbs.VERBS`:
+one table says, per verb, how a frame routes, whether it mutates (and
+so is logged and replayed), and whether a retired worker still serves
+it.
 
 Routing epochs (live resharding)
 --------------------------------
-A worker is born into a routing **epoch** (0 for a fleet that never
-resharded).  Point-op frames may carry ``"epoch"``: when it differs
-from the worker's own, the op is refused with ``StaleRoutingError`` —
-the client refreshes its routing table (the error frame carries the
-worker's table when it knows one) and retries against the right fleet.
-A **retired** worker (its shard migrated away by
-:class:`~repro.database.resharding.ShardMigrator`) refuses everything
-except ``health``/``routing``/``fault``/``migrate_tail``/
-``migrate_cutover``/``shutdown`` the same way, so stale clients can
-never read or write a dead shard.
+A worker serves one routing **epoch** (0 for a fleet that never
+resharded).  A frame stamped with another epoch, or any frame to a
+**retired** worker (its shard migrated away by
+:class:`~repro.database.resharding.ShardMigrator`), is refused with
+``StaleRoutingError`` — carrying the worker's routing table when it
+knows one — unless its row is ``served_when_retired``.  The client
+refreshes and retries (see :mod:`repro.database.service`).
 
 Durability (the write-ahead op log)
 -----------------------------------
 With a :class:`~repro.database.wal.WriteAheadLog` attached, every
-mutating verb that succeeds is appended to the log — the wire frame
+``mutates`` verb that succeeds is appended to the log — the wire frame
 verbatim, so the log reuses the v3 row codec — and, in ``fsync`` mode,
 made durable *before the reply frame is sent*.  Concurrent connections
 group-commit: appends that land in the same event-loop batch (or the
@@ -95,18 +39,16 @@ with the snapshot's embedded LSN watermark skipping records already
 included and any torn tail discarded fail-closed.  Without a log the
 worker keeps PR 5's lossy last-checkpoint contract unchanged.
 
-Database errors cross the wire as ``{"kind": "error", "error":
-"<exception class>", "message": ...}``; the client re-raises the named
-:mod:`repro.errors` class, so remote error paths are type-identical to
-the in-process ones.  Records travel as compact v3 rows
-(:data:`~repro.database.records.RECORD_ROW_FIELDS`), queries as the
-clause encoding of :mod:`repro.runtime.wire`.  Replies larger than one
-frame (bulk matches, inline snapshots) ride the protocol's continuation
+Database errors cross the wire as error frames; the client re-raises
+the named :mod:`repro.errors` class, so remote error paths are
+type-identical to the in-process ones.  Replies larger than one frame
+(bulk matches, inline snapshots) ride the protocol's continuation
 frames.
 
-A worker validates routing on every ``register``: a record whose name
-CRC-routes to a different shard is refused, so a mis-configured client
-cannot silently split the name space.
+A worker validates routing on every ``register``, ``update`` and
+``reset``: a record whose name CRC-routes to a different shard is
+refused, so a mis-configured client cannot silently split the name
+space.
 """
 
 from __future__ import annotations
@@ -143,6 +85,7 @@ from repro.runtime.protocol import (
     error_frame,
     read_frame,
 )
+from repro.runtime.verbs import VERBS, Verb
 from repro.runtime.wire import clause_from_dict, clause_to_dict
 
 __all__ = [
@@ -152,28 +95,9 @@ __all__ = [
     "decode_dynamic",
     "clauses_to_wire",
     "clauses_from_wire",
-    "MUTATING_VERBS",
 ]
 
 logger = logging.getLogger(__name__)
-
-#: Verbs that change shard state — exactly the set the write-ahead log
-#: records (and the only frames :meth:`ShardWorker.replay` will apply).
-MUTATING_VERBS = frozenset({
-    "register", "remove", "update", "update_dynamic",
-    "take", "take_all", "release", "release_pool", "reset",
-})
-
-#: Verbs a *retired* worker (shard migrated away) still serves: health
-#: and fault tooling for the supervisor, ``metrics`` so a fleet sweep
-#: never loses a retired shard's telemetry, ``migrate_tail`` for the
-#: final post-fence drain, ``migrate_cutover`` so the migrator can
-#: publish the new routing table (or roll the fence back), and
-#: ``shutdown``.
-_RETIRED_VERBS = frozenset({
-    "health", "routing", "fault", "metrics", "migrate_tail",
-    "migrate_cutover", "shutdown",
-})
 
 #: Dynamic fields (1-7) that need a codec beyond JSON's native types.
 _STATE_KEY = "state"
@@ -238,6 +162,17 @@ def clauses_from_wire(data: Optional[List[Dict[str, Any]]]) -> Any:
     if data is None:
         return None
     return [clause_from_dict(c) for c in data]
+
+
+#: The shared field codecs for positional database-call arguments:
+#: frame field -> decoder.  ``dynamic`` and ``include_taken`` are the
+#: keyword fields.
+_POSITIONAL = {
+    "name": str,
+    "names": lambda names: [str(n) for n in names],
+    "clauses": clauses_from_wire,
+    "pool": str,
+}
 
 
 class ShardWorker(FrameServer):
@@ -315,9 +250,12 @@ class ShardWorker(FrameServer):
         self.spans = SpanRecorder(shard_index,
                                   slow_op_threshold=slow_op_threshold,
                                   slow_op_path=slow_op_path)
-        #: Interned ``verb.<kind>`` series names (one per verb ever
-        #: served — avoids an f-string allocation per op).
-        self._verb_series: Dict[str, str] = {}
+        #: Set by ``shutdown``: stop once its reply is sent.
+        self._stopping = False
+        #: kind -> (row, handler, ``verb.<kind>`` series name): the one
+        #: lookup each op makes.
+        self._verbs = {name: (verb, self._handler(verb), "verb." + name)
+                       for name, verb in VERBS.items()}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -326,8 +264,6 @@ class ShardWorker(FrameServer):
         the op log — the graceful-shutdown path (a clean stop is
         replay-free)."""
         await super().stop()
-        # Graceful shutdown flushes and closes the op log: no dangling
-        # fd, no unsynced tail — a clean stop is replay-free.
         if self.wal is not None and not self.wal.closed:
             try:
                 self.wal.close()
@@ -354,44 +290,43 @@ class ShardWorker(FrameServer):
         # `match` shows up in *this shard's* match histogram, which is
         # the whole point of server-side attribution.
         t0 = time.perf_counter()
-        delay = faults.delay_for(str(frame.get("kind")))
+        kind = str(frame.get("kind"))
+        entry = self._verbs.get(kind)
+        delay = faults.delay_for(kind)
         if delay > 0:
-            # Brownout injection: the slow-worker scenario arms
-            # per-verb delays to measure fan-out head-of-line blocking.
-            # The sleep yields, so other connections to this worker are
-            # delayed only by their own ops.
+            # A brownout: the sleep yields, so other connections to
+            # this worker are delayed only by their own ops.
             await asyncio.sleep(delay)
-        response = self._dispatch(frame)
-        response = await self._commit_wal(frame, response)
+        response = self._dispatch(frame, entry)
+        if entry is not None and entry[0].mutates:
+            response = await self._commit_wal(response)
         reply_bytes = await self._send_reply(writer, response)
         if self.metrics.enabled:
-            self._observe_op(frame, response,
+            self._observe_op(kind, frame, response, entry,
                              time.perf_counter() - t0, reply_bytes)
-        if frame.get("kind") == "shutdown":
+        if self._stopping:
             self._shutdown.set()
             return False
         return True
 
     # -- durability plumbing ---------------------------------------------------
 
-    async def _commit_wal(self, frame: Dict[str, Any],
-                          response: Dict[str, Any]) -> Dict[str, Any]:
-        """Group-commit barrier: in ``fsync`` mode, an acknowledged
-        mutation is a durable mutation.
+    async def _commit_wal(self, response: Dict[str, Any]
+                          ) -> Dict[str, Any]:
+        """Group-commit barrier for a ``mutates`` verb's reply: in
+        ``fsync`` mode, an acknowledged mutation is a durable mutation.
 
-        Only the op's own reply waits — read verbs and error replies
-        pass straight through.  Concurrent committers share one sync:
-        the first waiter schedules the sync task (optionally delayed by
-        the group-commit interval so more appends pile into the same
-        ``fdatasync``); everyone whose LSN it covers awaits the same
-        task.  A sync failure turns the success reply into an error
-        frame — the client must never believe an op is durable when the
-        disk said no.
+        Only the op's own reply waits — error replies pass straight
+        through.  Concurrent committers share one sync: the first waiter
+        schedules the sync task (optionally delayed by the group-commit
+        interval so more appends pile into the same ``fdatasync``);
+        everyone whose LSN it covers awaits the same task.  A sync
+        failure turns the success reply into an error frame — the client
+        must never believe an op is durable when the disk said no.
         """
         wal = self.wal
         if (wal is None or wal.mode != "fsync"
-                or response.get("kind") == "error"
-                or frame.get("kind") not in MUTATING_VERBS):
+                or response.get("kind") == "error"):
             return response
         target = wal.last_lsn
         try:
@@ -436,17 +371,14 @@ class ShardWorker(FrameServer):
         await writer.drain()
         return len(data)
 
-    def _observe_op(self, frame: Dict[str, Any], response: Dict[str, Any],
+    def _observe_op(self, kind: str, frame: Dict[str, Any],
+                    response: Dict[str, Any], entry: Optional[tuple],
                     duration_s: float, reply_bytes: int) -> None:
         """Fold one completed op into the registry and the span ring."""
-        kind = str(frame.get("kind"))
         error = response.get("error") \
             if response.get("kind") == "error" else None
-        # Series names are interned per verb — this runs once per
-        # served op, and a fresh f-string per op is measurable churn.
-        series = self._verb_series.get(kind)
-        if series is None:
-            series = self._verb_series.setdefault(kind, "verb." + kind)
+        # A known verb's series name was built once, with its table row.
+        series = entry[2] if entry is not None else "verb." + kind
         self.metrics.observe_op(series, duration_s, reply_bytes)
         if error is not None:
             self.metrics.inc(f"errors.{error}")
@@ -465,32 +397,66 @@ class ShardWorker(FrameServer):
             reply["routing"] = self.routing
         return reply
 
-    def _dispatch(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+    def _handler(self, verb: Verb) -> Any:
+        """The callable serving ``verb``: its ``_verb_<name>`` method, or
+        one serving it as the same-named database method — the row's
+        ``args`` decoded by the shared field codecs, the result sent as
+        the row's ``reply``."""
+        handler = getattr(self, "_verb_" + verb.name, None)
+        if handler is not None:
+            return handler
+        if verb.reply is None:
+            raise TypeError(f"shard verb {verb.name!r} has neither a "
+                            "handler nor a database reply")
+        positional = [(field, _POSITIONAL[field]) for field in verb.args
+                      if field not in ("dynamic", "include_taken")]
+        dynamic = "dynamic" in verb.args
+        include_taken = "include_taken" in verb.args
+        name = verb.name
+        kind, key = verb.reply
+
+        def serve(frame: Dict[str, Any]) -> Dict[str, Any]:
+            """Decode, call, encode."""
+            args = [decode(frame[field]) for field, decode in positional]
+            kwargs = decode_dynamic(frame.get("dynamic", {})) \
+                if dynamic else {}
+            if include_taken:
+                kwargs["include_taken"] = bool(frame.get("include_taken"))
+            value = getattr(self.database, name)(*args, **kwargs)
+            if key is None:
+                return {"kind": kind}
+            if isinstance(value, MachineRecord):
+                value = value.to_row()
+            return {"kind": kind, key: value}
+        return serve
+
+    def _dispatch(self, frame: Dict[str, Any],
+                  entry: Optional[tuple]) -> Dict[str, Any]:
         self.requests += 1
-        kind = frame.get("kind")
-        handler = getattr(self, f"_verb_{kind}", None)
-        if handler is None:
-            return error_frame(
-                RuntimeProtocolError(f"unknown shard verb {kind!r}"))
-        if self.retired and kind not in _RETIRED_VERBS:
-            return self._stale_routing(
-                f"shard {self.shard_index} (epoch {self.epoch}) is "
-                "retired: its records migrated to a newer fleet")
-        if "epoch" in frame and kind not in _RETIRED_VERBS:
-            try:
-                frame_epoch = int(frame["epoch"])
-            except (TypeError, ValueError):
-                return error_frame(RuntimeProtocolError(
-                    f"malformed epoch {frame['epoch']!r}"))
-            if frame_epoch != self.epoch:
+        if entry is None:
+            return error_frame(RuntimeProtocolError(
+                f"unknown shard verb {frame.get('kind')!r}"))
+        verb, handler, _ = entry
+        if not verb.served_when_retired:
+            if self.retired:
                 return self._stale_routing(
-                    f"op stamped epoch {frame_epoch}, worker serves "
-                    f"epoch {self.epoch}")
+                    f"shard {self.shard_index} (epoch {self.epoch}) is "
+                    "retired: its records migrated to a newer fleet")
+            if "epoch" in frame:
+                try:
+                    frame_epoch = int(frame["epoch"])
+                except (TypeError, ValueError):
+                    return error_frame(RuntimeProtocolError(
+                        f"malformed epoch {frame['epoch']!r}"))
+                if frame_epoch != self.epoch:
+                    return self._stale_routing(
+                        f"op stamped epoch {frame_epoch}, worker serves "
+                        f"epoch {self.epoch}")
         try:
             response = handler(frame)
         except HANDLER_ERRORS as exc:
-            return error_frame(exc, kind)
-        if self.wal is not None and kind in MUTATING_VERBS:
+            return error_frame(exc, verb.name)
+        if verb.mutates and self.wal is not None:
             # Apply-then-log: the handler validated and applied the op,
             # so the log records only mutations that really happened.
             # The reply has not been sent yet — a crash in this window
@@ -509,7 +475,7 @@ class ShardWorker(FrameServer):
         """Apply recovered WAL entries past the snapshot watermark.
 
         ``entries`` is :attr:`WalRecoveryResult.entries` (``(lsn,
-        frame)`` pairs in append order).  Only mutating verbs are
+        frame)`` pairs in append order).  Only ``mutates`` verbs are
         legal, and every one must apply cleanly — the log records ops
         that *succeeded* against exactly this state, so a failure means
         the snapshot/log pair is inconsistent and recovery must stop
@@ -521,12 +487,12 @@ class ShardWorker(FrameServer):
             if lsn <= watermark:
                 continue
             kind = frame.get("kind")
-            if kind not in MUTATING_VERBS:
+            entry = self._verbs.get(str(kind))
+            if entry is None or not entry[0].mutates:
                 raise DatabaseError(
                     f"wal replay: non-mutating verb {kind!r} at lsn {lsn}")
-            handler = getattr(self, f"_verb_{kind}")
             try:
-                handler(frame)
+                entry[1](frame)
             except HANDLER_ERRORS as exc:
                 raise DatabaseError(
                     f"wal replay diverged at lsn {lsn} ({kind}): "
@@ -540,80 +506,24 @@ class ShardWorker(FrameServer):
                 f"record {name!r} routes to shard "
                 f"{shard_of(name, self.shards)}, not {self.shard_index}")
 
-    # -- registry CRUD ---------------------------------------------------------
+    # -- verbs that are more than one database call ----------------------------
 
     def _verb_register(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Add a machine record (point op; WAL-logged, epoch-checked).
-
-        Args (frame fields): ``row`` — the v3 positional record row.
-        Returns: ``{"kind": "ok"}``.
-        Raises: ``DuplicateMachineError``; ``DatabaseError`` when the
-            name CRC-routes to a different shard (misroute guard).
-        """
+        """Add a record, refusing one that routes to another shard."""
         record = MachineRecord.from_row(frame["row"])
         self._check_routing(record.machine_name)
         self.database.add(record)
         return {"kind": "ok"}
 
-    def _verb_remove(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Remove a machine by name (point op; WAL-logged,
-        epoch-checked).
-
-        Args (frame fields): ``name``.
-        Returns: ``{"kind": "record", "row"}`` — the removed record.
-        Raises: ``UnknownMachineError``.
-        """
-        record = self.database.remove(str(frame["name"]))
-        return {"kind": "record", "row": record.to_row()}
-
-    def _verb_get(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Fetch one record by name (point read; epoch-checked).
-
-        Args (frame fields): ``name``.
-        Returns: ``{"kind": "record", "row"}``.
-        Raises: ``UnknownMachineError``.
-        """
-        record = self.database.get(str(frame["name"]))
-        return {"kind": "record", "row": record.to_row()}
-
     def _verb_update(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Replace a record wholesale (point op; WAL-logged,
-        epoch-checked, misroute-guarded like ``register``).
-
-        Args (frame fields): ``row``.
-        Returns: ``{"kind": "ok"}``.
-        Raises: ``UnknownMachineError``; ``DatabaseError`` on misroute.
-        """
+        """Replace a record, refusing one that routes to another shard."""
         record = MachineRecord.from_row(frame["row"])
         self._check_routing(record.machine_name)
         self.database.update(record)
         return {"kind": "ok"}
 
-    def _verb_update_dynamic(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Update a record's dynamic fields (point op; WAL-logged,
-        epoch-checked).
-
-        Args (frame fields): ``name``; ``dynamic`` — the
-        :func:`encode_dynamic` wire map.
-        Returns: ``{"kind": "record", "row"}`` — the updated record.
-        Raises: ``UnknownMachineError``.
-        """
-        dynamic = decode_dynamic(dict(frame.get("dynamic", {})))
-        record = self.database.update_dynamic(str(frame["name"]), **dynamic)
-        return {"kind": "record", "row": record.to_row()}
-
-    # -- matching --------------------------------------------------------------
-
     def _verb_match(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Run a query against this shard (fan-out read; the client
-        merges per-shard name-ordered results, so no epoch stamp — a
-        retired worker refuses it instead).
-
-        Args (frame fields): ``clauses`` (wire clause list or null for
-        match-all); ``include_taken``; ``names_only``.
-        Returns: ``{"kind": "records", "rows"}`` in name order, or
-        ``{"kind": "names"}`` with ``names_only``.
-        """
+        """This shard's matches in name order, as rows or names."""
         clauses = clauses_from_wire(frame.get("clauses"))
         include_taken = bool(frame.get("include_taken", False))
         matches = self.database.match(clauses, include_taken=include_taken)
@@ -622,96 +532,24 @@ class ShardWorker(FrameServer):
                     "names": [r.machine_name for r in matches]}
         return {"kind": "records", "rows": [r.to_row() for r in matches]}
 
-    def _verb_count(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Count query matches on this shard (fan-out read; the client
-        sums the per-shard counts).
-
-        Args (frame fields): ``clauses``; ``include_taken``.
-        Returns: ``{"kind": "count", "count"}``.
-        """
-        clauses = clauses_from_wire(frame.get("clauses"))
-        return {"kind": "count", "count": self.database.count(
-            clauses, include_taken=bool(frame.get("include_taken", False)))}
-
-    def _verb_names(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """All machine names on this shard, name-ordered (fan-out
-        read; merged client-side).  Returns ``{"kind": "names"}``."""
-        return {"kind": "names", "names": self.database.names()}
-
-    def _verb_count_up(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Count of machines in the ``up`` state on this shard (fan-out
-        read).  Returns ``{"kind": "count"}``."""
-        return {"kind": "count", "count": self.database.count_up()}
-
     def _verb_len(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Total records on this shard (fan-out read).  Returns
-        ``{"kind": "count"}``."""
+        """``len()`` of the shard database."""
         return {"kind": "count", "count": len(self.database)}
 
     def _verb_contains(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Membership test for one name (point read; epoch-checked).
-
-        Args (frame fields): ``name``.
-        Returns: ``{"kind": "ok", "contains": bool}``.
-        """
+        """``name in`` the shard database."""
         return {"kind": "ok",
                 "contains": str(frame["name"]) in self.database}
 
-    # -- take / release --------------------------------------------------------
-
-    def _verb_take(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Mark a machine taken by a pool (point op; WAL-logged,
-        epoch-checked).  A losing race returns ``taken=false`` rather
-        than raising — and is still logged, so replay reproduces the
-        same no-op.
-
-        Args (frame fields): ``name``; ``pool``.
-        Returns: ``{"kind": "ok", "taken": bool}``.
-        Raises: ``UnknownMachineError``.
-        """
-        taken = self.database.take(str(frame["name"]), str(frame["pool"]))
-        return {"kind": "ok", "taken": taken}
-
-    def _verb_take_all(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Take every still-free machine of a list (bulk point op;
-        WAL-logged, epoch-checked; the client pre-routes the names so
-        each shard sees only its own).
-
-        Args (frame fields): ``names``; ``pool``.
-        Returns: ``{"kind": "names", "names"}`` — the subset actually
-        taken.
-        """
-        got = self.database.take_all(
-            [str(n) for n in frame.get("names", [])], str(frame["pool"]))
-        return {"kind": "names", "names": got}
-
-    def _verb_release(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Release one machine from a pool (point op; WAL-logged,
-        epoch-checked).
-
-        Args (frame fields): ``name``; ``pool``.
-        Returns: ``{"kind": "ok"}``.
-        Raises: ``UnknownMachineError``; ``MachineTakenError`` when a
-            different pool holds it.
-        """
-        self.database.release(str(frame["name"]), str(frame["pool"]))
-        return {"kind": "ok"}
-
     def _verb_release_pool(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Release every machine a pool holds on this shard (fan-out
-        mutation; WAL-logged; the client sums the per-shard counts).
+        """Release every machine ``pool`` holds on this shard.
 
-        Args (frame fields):
-            ``pool``: the releasing pool's name.
-            ``only_from``: optional ``[old_shards, source_index]`` pair
-            — release only machines that the *old* partition routed to
-            ``source_index``.  A live reshard replays each source
-            shard's ``release_pool`` copy scoped this way: each
-            record's op history is totally ordered by its old owner's
-            log, so an unscoped replay of another source's copy could
-            release a machine re-taken later in its own log.
-
-        Returns: ``{"kind": "count", "count"}`` released here.
+        With ``only_from`` = ``[old_shards, source_index]``, release
+        only machines the *old* partition routed to ``source_index``.  A
+        live reshard replays each source shard's ``release_pool`` copy
+        scoped this way: each record's op history is totally ordered by
+        its old owner's log, so an unscoped replay of another source's
+        copy could release a machine re-taken later in its own log.
         """
         pool = str(frame["pool"])
         only_from = frame.get("only_from")
@@ -728,43 +566,13 @@ class ShardWorker(FrameServer):
                 count += 1
         return {"kind": "count", "count": count}
 
-    def _verb_holder_of(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """The pool currently holding a machine (point read;
-        epoch-checked).
-
-        Args (frame fields): ``name``.
-        Returns: ``{"kind": "holder", "holder": name-or-null}``.
-        Raises: ``UnknownMachineError``.
-        """
-        return {"kind": "holder",
-                "holder": self.database.holder_of(str(frame["name"]))}
-
-    def _verb_taken_count(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """How many machines on this shard are taken (fan-out read).
-        Returns ``{"kind": "count"}``."""
-        return {"kind": "count", "count": self.database.taken_count()}
-
-    def _verb_free_names(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Names of free (not-taken) machines on this shard (fan-out
-        read).  Returns ``{"kind": "names"}``, unsorted by contract:
-        the client unions the per-shard sets, so ordering here is
-        wasted work."""
-        return {"kind": "names",
-                "names": list(self.database.free_names())}
-
     # -- observability / persistence / lifecycle -------------------------------
 
-    def _verb_health(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Liveness/observability probe (served even when retired).
-
-        Returns: ``{"kind": "health"}`` with pid, shard geometry,
-        routing ``epoch`` and ``retired`` flag, record/request counts,
-        index stats, WAL stats (``{"mode": "off"}`` without a log),
-        and armed brownout delays.
-        """
+    def _status(self, kind: str) -> Dict[str, Any]:
+        """The ``health``/``metrics`` reply head: shard geometry, routing
+        epoch and fence, counts, uptime, and WAL stats."""
         return {
-            "kind": "health",
-            "pid": os.getpid(),
+            "kind": kind,
             "shard_index": self.shard_index,
             "shards": self.shards,
             "epoch": self.epoch,
@@ -772,46 +580,34 @@ class ShardWorker(FrameServer):
             "machines": len(self.database),
             "requests": self.requests,
             "uptime_s": time.monotonic() - self.started_at,
-            "index_stats": self.database.index_stats(),
             "wal": (self.wal.stats() if self.wal is not None
                     else {"mode": "off"}),
-            "delays": (faults.installed_delays().delays
-                       if faults.installed_delays() is not None else {}),
         }
 
-    def _verb_metrics(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Telemetry snapshot: registry series, span tail, fault counts
-        (served even when retired, so fleet sweeps stay complete).
+    def _verb_health(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """Liveness probe: the status head plus pid, index stats and
+        armed brownout delays."""
+        delays = faults.installed_delays()
+        return {**self._status("health"), "pid": os.getpid(),
+                "index_stats": self.database.index_stats(),
+                "delays": delays.delays if delays is not None else {}}
 
-        Args (frame fields): ``max_spans`` — how many recent spans to
-        return (default 32, 0 for none).
-        Returns: ``{"kind": "metrics"}`` with shard geometry, the
-        :class:`~repro.obs.telemetry.MetricsRegistry` snapshot
-        (``counters``/``gauges``/``histograms`` — per-verb latency,
-        WAL append/fsync, reply bytes, error classes), the recent-span
-        ``spans`` tail, ``slow_ops`` count + ``slow_op_path`` +
-        ``slow_op_threshold``, WAL stats, and a ``faults`` block
-        (armed/fired brownout delays per verb, crash-point hit counts)
-        so a scenario can assert its injection landed where intended.
-        """
+    def _verb_metrics(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """Telemetry snapshot: the status head plus the
+        :class:`~repro.obs.telemetry.MetricsRegistry` series (per-verb
+        latency, WAL append/fsync, reply bytes, error classes), the
+        last ``max_spans`` spans (default 32), slow-op counts, and the
+        armed/fired brownout delays and crash-point hits, so a scenario
+        can assert its injection landed where intended."""
         delays = faults.installed_delays()
         injector = faults.installed()
         return {
-            "kind": "metrics",
-            "shard_index": self.shard_index,
-            "shards": self.shards,
-            "epoch": self.epoch,
-            "retired": self.retired,
-            "machines": len(self.database),
-            "requests": self.requests,
-            "uptime_s": time.monotonic() - self.started_at,
+            **self._status("metrics"),
             "metrics": self.metrics.snapshot(),
             "spans": self.spans.tail(int(frame.get("max_spans", 32))),
             "slow_ops": self.spans.slow_ops,
             "slow_op_path": self.spans.slow_op_path,
             "slow_op_threshold": self.spans.slow_op_threshold,
-            "wal": (self.wal.stats() if self.wal is not None
-                    else {"mode": "off"}),
             "faults": {
                 "delays_armed": (delays.delays
                                  if delays is not None else {}),
@@ -825,9 +621,6 @@ class ShardWorker(FrameServer):
     def _verb_set_telemetry(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Flip per-op telemetry recording at runtime.
 
-        Args (frame fields): ``enabled`` — bool.
-        Returns: ``{"kind": "set_telemetry", "enabled": <now>}``.
-
         Already-recorded series are kept (re-enabling resumes the same
         histograms).  The overhead scale gate uses this to A/B-time a
         *single* live fleet — two separate fleets never share process
@@ -839,16 +632,10 @@ class ShardWorker(FrameServer):
 
     def _verb_fault(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Arm (or with empty maps, disarm) fault injection in this
-        worker — the wire face of the fault-injection harness.
-
-        ``triggers`` are crash-point countdowns (SIGKILL on expiry);
-        ``delays`` are per-verb brownout latencies in seconds (the
-        slow-worker scenario's knob).  An unknown crash-point or verb
-        name is a malformed request, so a typo'd test arms nothing
-        silently.  Each map is independent: a frame carrying only
-        ``delays`` leaves armed crash triggers alone, and vice versa;
-        an *empty* map present in the frame explicitly disarms that
-        family.
+        worker: ``triggers`` are crash-point countdowns (SIGKILL on
+        expiry), ``delays`` per-verb brownout seconds.  An unknown
+        crash point or verb is a malformed request.  A frame carrying
+        one map leaves the other family armed as it was.
         """
         armed: List[str] = []
         if "triggers" in frame or "delays" not in frame:
@@ -862,33 +649,20 @@ class ShardWorker(FrameServer):
             delays = {str(verb): float(seconds)
                       for verb, seconds in dict(frame["delays"]).items()}
             faults.install_delays(
-                faults.DelayInjector(delays, known_verbs=self.verbs())
+                faults.DelayInjector(delays, known_verbs=VERBS)
                 if delays else None)
             armed.extend(sorted(f"delay:{v}" for v in delays))
         return {"kind": "ok", "armed": armed}
 
-    @classmethod
-    def verbs(cls) -> List[str]:
-        """The worker's verb vocabulary (the ``_verb_*`` table)."""
-        return sorted(name[len("_verb_"):] for name in dir(cls)
-                      if name.startswith("_verb_"))
-
     def _verb_snapshot(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Write (or return) a v3 snapshot of the live shard.
+        """Write a v3 snapshot of the live shard to ``path`` worker-side
+        (a 100 MB checkpoint costs one small reply), or return its text.
 
-        With a ``path`` the text stays worker-side — the supervisor's
-        checkpoint of a 100 MB shard costs one small reply, not a bulk
-        transfer; without one the text rides back inline on
-        continuation frames.
-
-        With a write-ahead log attached, the snapshot embeds
-        :attr:`~repro.database.wal.WriteAheadLog.last_lsn` as its
+        With a write-ahead log the snapshot embeds ``last_lsn`` as its
         watermark (dispatch is single-threaded, so every applied op has
-        been appended by the time this verb runs) and a *path-backed*
-        snapshot — a checkpoint that durably landed worker-side —
-        truncates the log afterwards.  An inline-text snapshot leaves
-        the log alone: the worker cannot know whether the caller ever
-        persisted the reply.
+        been appended), and a path-backed snapshot — one that durably
+        landed — truncates the log afterwards.  Inline text leaves the
+        log alone: the worker cannot know the caller persisted it.
         """
         from repro.database.persistence import (
             atomic_write_text,
@@ -940,39 +714,23 @@ class ShardWorker(FrameServer):
     # -- live migration --------------------------------------------------------
 
     def _verb_routing(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Report this worker's routing view.
-
-        Returns:
-            ``{"kind": "routing", "epoch", "shards", "retired",
-            "routing"}`` — ``routing`` is the full table wire dict once
-            a cutover published one, else ``None``.  Clients use this
-            to refresh after a :class:`~repro.errors.StaleRoutingError`
-            whose frame carried no table yet (mid-cutover window).
-        """
+        """Report this worker's routing view; ``routing`` is the table
+        wire dict once a cutover published one.  Clients poll it after a
+        :class:`~repro.errors.StaleRoutingError` whose frame carried no
+        table yet (the mid-cutover window)."""
         return {"kind": "routing", "epoch": self.epoch,
                 "shards": self.shards, "retired": self.retired,
                 "routing": self.routing}
 
     def _verb_migrate_begin(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Snapshot this shard for migration, *without* truncating the
-        op log.
-
-        Args (frame fields):
-            ``path``: where the worker writes the v3 snapshot
-            (worker-side, like a checkpoint).
-
-        Returns:
-            ``{"kind": "snapshot", "path", "machines", "watermark"}`` —
-            ``watermark`` is the log LSN the snapshot embeds; the
-            migrator streams entries *after* it with ``migrate_tail``.
-
-        Raises:
-            DatabaseError: when this worker has no write-ahead log
-                (live migration needs the tail) or the write fails.
+        """Write a migration snapshot to ``path`` worker-side; its
+        ``watermark`` is the log LSN it embeds, and the migrator streams
+        the entries after it with ``migrate_tail``.
 
         Unlike ``snapshot``, the log is left intact **and pinned**:
         checkpoints racing the migration defer their truncation until
-        ``migrate_cutover`` unpins, so the tail stays streamable.
+        ``migrate_cutover`` unpins, so the tail stays streamable.  Needs
+        a write-ahead log (``DatabaseError`` without one).
         """
         if self.wal is None:
             raise DatabaseError(
@@ -992,25 +750,14 @@ class ShardWorker(FrameServer):
                 "machines": len(self.database), "watermark": watermark}
 
     def _verb_migrate_tail(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Stream a bounded slice of this shard's op-log tail.
+        """Stream up to ``max_records`` (default 512) log entries
+        past ``after_lsn`` as ``[lsn, frame]`` pairs.
 
-        Args (frame fields):
-            ``after_lsn``: return only entries with a higher LSN (the
-            migration watermark, then the last LSN already replayed).
-            ``max_records``: cap per reply (default 512).
-
-        Returns:
-            ``{"kind": "tail", "entries": [[lsn, frame], ...],
-            "wal_lsn": <last LSN the worker acknowledged>, "reason"}``.
-            The stream is drained when the last returned (or requested)
-            LSN reaches ``wal_lsn``; a torn ``reason`` at the boundary
-            means a concurrent append raced the read — poll again.
-
-        Raises:
-            DatabaseError: when this worker has no write-ahead log.
-
-        Served even when retired: the post-fence drain uses it to hand
-        over the final in-flight ops.
+        ``wal_lsn`` is the last LSN the worker acknowledged: the stream
+        is drained when the last returned (or requested) LSN reaches
+        it; a torn ``reason`` at the boundary means a concurrent append
+        raced the read — poll again.  A retired worker serves it for
+        the post-fence drain.  Needs a write-ahead log.
         """
         if self.wal is None:
             raise DatabaseError(
@@ -1029,24 +776,16 @@ class ShardWorker(FrameServer):
     def _verb_migrate_cutover(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Flip this worker's role in a live reshard.
 
-        Args (frame fields):
-            ``retire``: ``true`` fences a source (refuse all ops except
-            :data:`_RETIRED_VERBS` with ``StaleRoutingError`` from now
-            on); ``false`` rolls a fence back (the migrator's abort
-            path).
-            ``epoch``: the new routing epoch to adopt (targets are
-            spawned already carrying it; retired sources adopt it so
-            their error frames name the current epoch).
-            ``routing``: the full routing-table wire dict to publish to
-            refused clients.  The migrator sends it to targets first,
-            then to the fenced sources — so a client can never learn an
-            endpoint that is not yet serving.
-
-        Returns:
-            ``{"kind": "ok", "epoch", "retired"}``.
-
-        Unpins the op log (see ``migrate_begin``); a deferred
-        checkpoint truncation becomes effective at the next checkpoint.
+        ``retire`` true fences a source (every verb not
+        ``served_when_retired`` is refused with ``StaleRoutingError``);
+        false rolls the fence back (the migrator's abort path).
+        ``epoch`` is adopted, so a retired source's error frames name
+        the current epoch.  ``routing`` is the table wire dict handed to
+        refused clients; the migrator sends it to targets first, then
+        to the fenced sources, so a client can never learn an endpoint
+        that is not yet serving.  Unpins the op log (see
+        ``migrate_begin``); a deferred checkpoint truncation becomes
+        effective at the next checkpoint.
         """
         if "epoch" in frame:
             self.epoch = int(frame["epoch"])
@@ -1059,16 +798,8 @@ class ShardWorker(FrameServer):
                 "retired": self.retired}
 
     def _verb_reset(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Replace the live shard with a fresh database (optionally
-        seeded from ``rows``) — test and re-seed tooling.
-
-        Args (frame fields): ``rows`` — v3 record rows, pre-routed to
-        this shard (misroutes are refused).
-        Returns: ``{"kind": "ok", "machines"}``.
-        WAL-logged like any mutation; a ``reset`` observed in a log
-        tail aborts a live migration (it cannot be re-partitioned as a
-        single-shard frame).
-        """
+        """Replace the live shard with a fresh database seeded from
+        ``rows``, refusing a row that routes to another shard."""
         records = [MachineRecord.from_row(row)
                    for row in frame.get("rows", [])]
         for record in records:
@@ -1077,9 +808,10 @@ class ShardWorker(FrameServer):
         return {"kind": "ok", "machines": len(records)}
 
     def _verb_shutdown(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Acknowledge, then stop the worker's server loop (graceful:
-        connections drain, the WAL flushes and closes).  Served even
-        when retired.  Returns ``{"kind": "ok"}``."""
+        """Acknowledge, then stop the worker's server loop once the
+        reply is sent (graceful: connections drain, the WAL flushes and
+        closes)."""
+        self._stopping = True
         return {"kind": "ok"}
 
 

@@ -155,6 +155,7 @@ class TestServiceLayerDocstrings:
 
     ENFORCED = (
         "src/repro/runtime/shard_worker.py",
+        "src/repro/runtime/verbs.py",
         "src/repro/database/service.py",
         "src/repro/database/resharding.py",
         "src/repro/obs/telemetry.py",

@@ -27,7 +27,6 @@ import json
 import os
 import struct
 import zlib
-from pathlib import Path
 
 import pytest
 
@@ -51,7 +50,7 @@ from repro.database.whitepages import WhitePagesDatabase
 from repro.errors import ConfigError, DatabaseError
 from repro.runtime import faults
 from repro.runtime.protocol import read_frame, write_frame
-from repro.runtime.shard_worker import MUTATING_VERBS, ShardWorker
+from repro.runtime.shard_worker import ShardWorker
 
 
 def _frames(n: int):
@@ -391,11 +390,6 @@ async def _serve_and_send(worker: ShardWorker, frames):
 
 
 class TestWorkerWalIntegration:
-    def test_mutating_verbs_constant_matches_dispatch(self):
-        worker = ShardWorker()
-        for verb in MUTATING_VERBS:
-            assert hasattr(worker, f"_verb_{verb}"), verb
-
     def test_graceful_stop_flushes_and_closes_wal(self, tmp_path):
         """The shutdown satellite: a clean stop leaves a synced, closed
         log whose replay is a no-op on the next start."""
